@@ -64,6 +64,31 @@ class BoundaryHypothesis:
         crossings = int(np.searchsorted(np.asarray(self.boundaries), x, side="right"))
         return self.first_sign if crossings % 2 == 0 else -self.first_sign
 
+    def cut_indices(self, sorted_xs: np.ndarray) -> tuple[int, ...]:
+        """Ends of the constant runs of labels on ascending ``sorted_xs``.
+
+        Point i carries ``first_sign`` flipped once per cut <= i.  A point on
+        a boundary stays in the run to its left, hence ``side="right"``.
+        """
+        return tuple(np.searchsorted(sorted_xs, self.boundaries, side="right").tolist())
+
+
+def disagreement_count(cuts_a, sign_a: int, cuts_b, sign_b: int, n: int) -> int:
+    """Points of a sorted n-point sample on which two boundary classifiers differ.
+
+    ``cuts_a``/``cuts_b`` are the classifiers' ``cut_indices`` on that sample
+    and ``sign_a``/``sign_b`` their first signs.  Every cut of either side
+    toggles agreement, so the merged cuts split the sample into runs that
+    alternate between agreeing and disagreeing.  Costs O((k + k') log(k + k'))
+    for k and k' boundaries, independent of n.
+    """
+    total, start, differ = 0, 0, sign_a != sign_b
+    for cut in sorted(cuts_a + cuts_b):
+        if differ:
+            total += cut - start
+        start, differ = cut, not differ
+    return total + n - start if differ else total
+
 
 @dataclass(frozen=True)
 class TabularHypothesis:

@@ -129,7 +129,12 @@ class Segment:
 
 @dataclass(frozen=True)
 class LabeledSample:
-    """Point sample with labels, stored sorted by (x, y) for canonical order."""
+    """Point sample with labels, stored sorted by (x, y) for canonical order.
+
+    Sorted ``xs`` is an invariant that correctness relies on: selection counts
+    the disagreements of boundary classifiers from the index runs their
+    boundaries cut out of ``xs`` (``BoundaryHypothesis.cut_indices``).
+    """
 
     xs: np.ndarray
     ys: np.ndarray

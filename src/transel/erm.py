@@ -43,12 +43,6 @@ def empirical_risk(h, sample: LabeledSample) -> float:
     return mistake_count(h, sample) / len(sample)
 
 
-def empirical_disagreement(h1, h2, sample: LabeledSample) -> float:
-    if len(sample) == 0:
-        return 0.0
-    return float(np.mean(h1.evaluate_many(sample.xs) != h2.evaluate_many(sample.xs)))
-
-
 def hypothesis_sort_key(h):
     """Total deterministic order; smaller is preferred in every tie-break."""
     if isinstance(h, BoundaryHypothesis):

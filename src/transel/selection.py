@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .classifiers import BoundaryHypothesis, disagreement_count
 from .distributions import LabeledSample
 from .erm import (
     SEARCH_EMPTY,
@@ -114,6 +115,26 @@ class SelectionTrace:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _labeling(h, sample: LabeledSample):
+    """How h labels the sorted sample: its run cuts if it is a boundary
+    classifier (O(k log n)), else its label array (O(n))."""
+    if isinstance(h, BoundaryHypothesis):
+        return h.cut_indices(sample.xs)
+    return h.evaluate_many(sample.xs)
+
+
+def _disagreement(h, h_labeling, g, g_labeling, sample: LabeledSample) -> float:
+    """Share of the nonempty sample where h and g differ, from their ``_labeling``."""
+    if isinstance(h_labeling, tuple) and isinstance(g_labeling, tuple):
+        n = len(sample)
+        return disagreement_count(h_labeling, h.first_sign, g_labeling, g.first_sign, n) / n
+    if isinstance(h_labeling, tuple):
+        h_labeling = h.evaluate_many(sample.xs)
+    if isinstance(g_labeling, tuple):
+        g_labeling = g.evaluate_many(sample.xs)
+    return float(np.mean(h_labeling != g_labeling))
+
+
 def _top_level(hierarchy, cfg: SelectionConfig) -> int:
     top = hierarchy.max_level if cfg.L_max is None else min(cfg.L_max, hierarchy.max_level)
     if top < hierarchy.min_level:
@@ -122,7 +143,7 @@ def _top_level(hierarchy, cfg: SelectionConfig) -> int:
 
 
 class _LevelContext:
-    """Per-sample cache: level ERMs, their predictions, complexity terms."""
+    """Per-sample cache: level ERMs, how each labels the sample, complexity terms."""
 
     def __init__(self, hierarchy, sample: LabeledSample, cfg: SelectionConfig):
         self.hierarchy = hierarchy
@@ -133,7 +154,7 @@ class _LevelContext:
         self.workspace = hierarchy.make_workspace(sample)
         self.erms = {}
         self.comp = {}
-        self._erm_preds = {}
+        self._erm_labelings = {}
         for j in range(hierarchy.min_level, self.top + 1):
             self.erms[j] = hierarchy.erm(sample, j, workspace=self.workspace)
             if self.n >= 1:
@@ -143,31 +164,34 @@ class _LevelContext:
                     hierarchy.vc_dim(j),
                 )
 
-    def erm_predictions(self, level: int) -> np.ndarray:
-        if level not in self._erm_preds:
-            self._erm_preds[level] = self.erms[level].hypothesis.evaluate_many(self.sample.xs)
-        return self._erm_preds[level]
-
     def slack(self, level: int, disagreement: float) -> float:
         a = self.comp[level]
         return self.cfg.C * math.sqrt(disagreement * a) + self.cfg.c * a
 
+    def disagreement(self, h, labeling, level: int) -> float:
+        """Share of the sample where h and the level ERM differ.
+
+        ``labeling`` is ``_labeling(h, sample)``, made once by the caller.
+        """
+        erm = self.erms[level].hypothesis
+        if level not in self._erm_labelings:
+            self._erm_labelings[level] = _labeling(erm, self.sample)
+        return _disagreement(h, labeling, erm, self._erm_labelings[level], self.sample)
+
     def is_member(self, h, mistakes: int, level: int) -> bool:
         gap = (mistakes - self.erms[level].mistakes) / self.n
-        preds = h.evaluate_many(self.sample.xs)
-        dis = float(np.mean(preds != self.erm_predictions(level)))
+        dis = self.disagreement(h, _labeling(h, self.sample), level)
         return gap <= self.slack(level, dis)
 
     def in_all_sets(self, h, mistakes: int, from_level: int) -> bool:
-        preds = None
+        labeling = None
         for j in range(from_level, self.top + 1):
             gap = (mistakes - self.erms[j].mistakes) / self.n
             if gap <= self.cfg.c * self.comp[j]:
                 continue
-            if preds is None:
-                preds = h.evaluate_many(self.sample.xs)
-            dis = float(np.mean(preds != self.erm_predictions(j)))
-            if gap > self.slack(j, dis):
+            if labeling is None:
+                labeling = _labeling(h, self.sample)
+            if gap > self.slack(j, self.disagreement(h, labeling, j)):
                 return False
         return True
 
@@ -280,9 +304,11 @@ def algorithm2(hierarchy, candidate, target_sample, holdout_sample, cfg):
         return candidate, trace
     a = complexity_term(n_hold, cfg.delta, 1)
     lhs = empirical_risk(candidate, holdout_sample) - empirical_risk(target_h, holdout_sample)
-    dis = float(np.mean(
-        candidate.evaluate_many(holdout_sample.xs) != target_h.evaluate_many(holdout_sample.xs)
-    ))
+    dis = _disagreement(
+        candidate, _labeling(candidate, holdout_sample),
+        target_h, _labeling(target_h, holdout_sample),
+        holdout_sample,
+    )
     rhs = math.sqrt(dis * a) + cfg.c * a
     accepted = lhs <= rhs
     trace = SelectionTrace(

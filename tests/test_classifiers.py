@@ -15,6 +15,7 @@ from transel.classifiers import (
     TabularHypothesis,
     canonical_from_labels,
     cpwl_to_relu_params,
+    disagreement_count,
     enumerate_hypotheses,
     to_cpwl,
     vc_dimension,
@@ -50,6 +51,51 @@ class TestBoundaryHypothesis:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             BoundaryHypothesis((math.inf,), 1)
+
+
+# a coarse grid makes repeated xs and points exactly on a boundary common
+_GRID = st.integers(0, 8).map(lambda i: i / 4.0)
+_BOUNDARY_CLASSIFIERS = st.builds(
+    lambda cuts, sign: BoundaryHypothesis(tuple(sorted(cuts)), sign),
+    st.sets(_GRID, max_size=4),
+    st.sampled_from([-1, 1]),
+)
+
+
+class TestDisagreementCount:
+    def test_cut_indices_put_boundary_points_left(self):
+        xs = np.asarray([0.0, 0.5, 0.5, 1.0])
+        assert BoundaryHypothesis((0.5,), 1).cut_indices(xs) == (3,)
+        assert BoundaryHypothesis((-1.0, 2.0), 1).cut_indices(xs) == (0, 4)
+        assert BoundaryHypothesis((), 1).cut_indices(xs) == ()
+
+    def test_hand_value(self):
+        xs = np.asarray([0.0, 1.0, 2.0, 3.0])
+        h1, h2 = BoundaryHypothesis((), 1), BoundaryHypothesis((1.5,), 1)
+        assert disagreement_count(h1.cut_indices(xs), 1, h2.cut_indices(xs), 1, 4) == 2
+
+    @given(st.lists(_GRID, max_size=12), _BOUNDARY_CLASSIFIERS, _BOUNDARY_CLASSIFIERS)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_pointwise_count(self, xs, h1, h2):
+        xs = np.sort(np.asarray(xs, dtype=float))
+        n = len(xs)
+        differ = h1.evaluate_many(xs) != h2.evaluate_many(xs)
+        got = disagreement_count(
+            h1.cut_indices(xs), h1.first_sign, h2.cut_indices(xs), h2.first_sign, n
+        )
+        assert got == int(np.sum(differ))
+        if n > 0:
+            assert got / n == float(np.mean(differ))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_tiny_samples(self, n, signs):
+        xs = np.full(n, 0.5)
+        h1, h2 = BoundaryHypothesis((), signs[0]), BoundaryHypothesis((0.5,), signs[1])
+        want = int(np.sum(h1.evaluate_many(xs) != h2.evaluate_many(xs)))
+        assert disagreement_count(
+            h1.cut_indices(xs), h1.first_sign, h2.cut_indices(xs), h2.first_sign, n
+        ) == want
 
 
 class TestTabularHypothesis:

@@ -14,7 +14,6 @@ from transel.erm import (
     BoundaryClassHierarchy,
     FiniteClassHierarchy,
     OneSidedThresholdHierarchy,
-    empirical_disagreement,
     empirical_risk,
     erm_bruteforce,
     hypothesis_sort_key,
@@ -52,13 +51,6 @@ class TestCounting:
         h = BoundaryHypothesis((), 1)
         assert mistake_count(h, s) == 0
         assert empirical_risk(h, s) == 0.0
-        assert empirical_disagreement(h, h, s) == 0.0
-
-    def test_disagreement(self):
-        s = _sample([0.0, 1.0, 2.0, 3.0], [1, 1, 1, 1])
-        h1 = BoundaryHypothesis((), 1)
-        h2 = BoundaryHypothesis((1.5,), 1)
-        assert empirical_disagreement(h1, h2, s) == pytest.approx(0.5)
 
 
 class TestSortKey:

@@ -1,13 +1,22 @@
 """Minimal sets, the level scan, and the adaptive source/target procedures."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from transel.classifiers import BoundaryHypothesis
+from transel.classifiers import BoundaryHypothesis, TabularHypothesis
 from transel.distributions import LabeledSample
-from transel.erm import SEARCH_FOUND, BoundaryClassHierarchy
+from transel.erm import (
+    SEARCH_FOUND,
+    BoundaryClassHierarchy,
+    FiniteClassHierarchy,
+    empirical_risk,
+    hypothesis_sort_key,
+    mistake_count,
+)
 from transel.selection import (
     BRANCH_SOURCE,
     BRANCH_TARGET,
@@ -114,6 +123,26 @@ class TestMinimalSets:
         sample = _labeled_by(truth, 5000, seed=1)
         wrong = BoundaryHypothesis((0.5,), -1)
         assert not minimal_set_contains(hierarchy, wrong, sample, 2, cfg)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_pointwise_slack_test(self, seed):
+        hierarchy, cfg = BoundaryClassHierarchy(max_level=3), SelectionConfig(C=0.5, c=0.5)
+        truth = BoundaryHypothesis((0.3, 0.6), 1)
+        rng = np.random.default_rng(seed)
+        xs = np.round(rng.uniform(0.0, 1.0, size=14), 1)
+        ys = np.where(rng.random(14) < 0.2, -1, 1) * truth.evaluate_many(xs)
+        sample = _sample(xs, ys)
+        n = len(sample)
+        for level in range(4):
+            erm = hierarchy.erm(sample, level)
+            a = complexity_term(n, level_confidence(cfg.delta, level, 0), hierarchy.vc_dim(level))
+            for h in hierarchy.enumerate_on(np.unique(sample.xs), 3):
+                gap = (mistake_count(h, sample) - erm.mistakes) / n
+                dis = float(np.mean(
+                    h.evaluate_many(sample.xs) != erm.hypothesis.evaluate_many(sample.xs)
+                ))
+                want = gap <= cfg.C * math.sqrt(dis * a) + cfg.c * a
+                assert minimal_set_contains(hierarchy, h, sample, level, cfg) == want
 
     def test_everything_is_member_of_empty_sample_set(self):
         hierarchy = BoundaryClassHierarchy(max_level=1)
@@ -266,3 +295,100 @@ class TestOracleAndBaseline:
         assert target_only_srm(hierarchy, target, cfg) == lepski_min_level(
             hierarchy, target, cfg
         )[1]
+
+
+_SUPPORT = (0.0, 0.25, 0.5, 0.75, 1.0)
+_TABULAR_CFG = SelectionConfig(C=0.3, c=0.3)
+# source scan at level 1, source scan at level 2, a target fallback, and a
+# level-1 pick that the search finds past the level ERMs
+_TABULAR_SEEDS = (0, 7, 60, 161)
+
+
+def _tabular_hierarchy() -> FiniteClassHierarchy:
+    """Every labeling of five points; level i holds those with <= i sign changes."""
+    levels = {1: [], 2: [], 3: []}
+    for labels in itertools.product((1, -1), repeat=len(_SUPPORT)):
+        changes = sum(a != b for a, b in zip(labels, labels[1:]))
+        for level, members in levels.items():
+            if changes <= level or level == 3:
+                members.append(TabularHypothesis(_SUPPORT, labels))
+    return FiniteClassHierarchy(levels, vc_dims=(2, 3, 5))
+
+
+def _tabular_samples(seed: int):
+    """Source, target and holdout samples, each from its own random law on the support."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(3):
+        n = int(rng.integers(10, 120))
+        mass, p_plus = rng.dirichlet(np.ones(len(_SUPPORT))), rng.uniform(0, 1, len(_SUPPORT))
+        idx = rng.choice(len(_SUPPORT), size=n, p=mass)
+        out.append(_sample(np.asarray(_SUPPORT)[idx], np.where(rng.random(n) < p_plus[idx], 1, -1)))
+    return out
+
+
+def _exhaustive_scan(hierarchy, sample, cfg):
+    """The level scan from first principles: at each level, the level ERMs
+    and then the whole class in increasing-mistake order, each checked by
+    ``minimal_set_contains`` at every level above."""
+    top = hierarchy.max_level
+
+    @functools.cache
+    def member(h, j):
+        return minimal_set_contains(hierarchy, h, sample, j, cfg)
+
+    for i in range(hierarchy.min_level, top + 1):
+        erms = [hierarchy.erm(sample, j).hypothesis for j in range(i, top + 1)]
+        ranked = sorted(
+            hierarchy.levels[i], key=lambda h: (mistake_count(h, sample), hypothesis_sort_key(h))
+        )
+        for h in [e for e in erms if hierarchy.contains(e, i)] + ranked:
+            if all(member(h, j) for j in range(i, top + 1)):
+                return i, h
+    raise AssertionError("the top level always has a member")
+
+
+class TestTabularFallback:
+    """Tabular classes take the evaluate-many path for disagreements."""
+
+    @pytest.mark.parametrize("seed", _TABULAR_SEEDS)
+    def test_algorithm1_matches_exhaustive(self, seed):
+        hierarchy, cfg = _tabular_hierarchy(), _TABULAR_CFG
+        source, target, hold = _tabular_samples(seed)
+        source_level, rep = _exhaustive_scan(hierarchy, source, cfg)
+        target_level, target_h = _exhaustive_scan(hierarchy, target, cfg)
+        assert lepski_min_level(hierarchy, source, cfg) == (source_level, rep)
+
+        chosen, trace = algorithm1(hierarchy, source, target, hold, cfg)
+        assert (trace.source_level, trace.candidate) == (source_level, rep)
+        assert (trace.target_level, trace.target_hypothesis) == (target_level, target_h)
+        a = complexity_term(len(hold), cfg.delta, 1)
+        dis = float(np.mean(rep.evaluate_many(hold.xs) != target_h.evaluate_many(hold.xs)))
+        lhs = empirical_risk(rep, hold) - empirical_risk(target_h, hold)
+        rhs = math.sqrt(dis * a) + cfg.c * a
+        assert (trace.test_lhs, trace.test_rhs) == (lhs, rhs)
+        assert chosen == (rep if lhs <= rhs else target_h)
+
+    def test_boundary_candidate_against_tabular_pick(self):
+        hierarchy, cfg = _tabular_hierarchy(), _TABULAR_CFG
+        _, target, hold = _tabular_samples(60)
+        candidate = BoundaryHypothesis((0.6,), -1)
+        _, trace = algorithm2(hierarchy, candidate, target, hold, cfg)
+        target_h = trace.target_hypothesis
+        a = complexity_term(len(hold), cfg.delta, 1)
+        dis = float(np.mean(candidate.evaluate_many(hold.xs) != target_h.evaluate_many(hold.xs)))
+        assert trace.test_rhs == math.sqrt(dis * a) + cfg.c * a
+
+    def test_seeds_cover_levels_search_and_both_branches(self):
+        hierarchy, cfg = _tabular_hierarchy(), _TABULAR_CFG
+        levels, branches, past_erms = set(), set(), False
+        for seed in _TABULAR_SEEDS:
+            source, target, hold = _tabular_samples(seed)
+            _, trace = algorithm1(hierarchy, source, target, hold, cfg)
+            erms = {hierarchy.erm(source, j).hypothesis for j in (1, 2, 3)}
+            levels.add(trace.source_level)
+            branches.add(trace.branch)
+            past_erms |= trace.candidate not in erms
+        assert levels == {1, 2}
+        assert branches == {BRANCH_SOURCE, BRANCH_TARGET}
+        assert past_erms
