@@ -106,12 +106,12 @@ def level_risk_minimizer(instance: TransferInstance, which: str, level: int):
     candidates = _level_hypotheses(instance, level)
     if not candidates:
         raise ValueError(f"level {level} has no hypotheses")
-    risks = [dist.expected_risk(h) for h in candidates]
-    best = min(risks)
+    risks = dist.expected_risks(candidates)
+    best = risks.min()
     tied = [h for h, r in zip(candidates, risks) if r <= best + RISK_ATOL]
     if which in ("P", "source") and len(tied) > 1:
-        target_risks = [instance.target.expected_risk(h) for h in tied]
-        worst = max(target_risks)
+        target_risks = instance.target.expected_risks(tied)
+        worst = target_risks.max()
         tied = [h for h, r in zip(tied, target_risks) if r >= worst - RISK_ATOL]
     return min(tied, key=hypothesis_sort_key)
 
@@ -247,8 +247,8 @@ def _excess_arrays(instance, level, grid):
     ref = level_risk_minimizer(instance, "P", level)
     ref_p = instance.source.expected_risk(ref)
     ref_q = instance.target.expected_risk(ref)
-    e_p = np.array([instance.source.expected_risk(h) - ref_p for h in grid])
-    e_q = np.array([instance.target.expected_risk(h) - ref_q for h in grid])
+    e_p = instance.source.expected_risks(grid) - ref_p
+    e_q = instance.target.expected_risks(grid) - ref_q
     np.maximum(e_p, 0.0, out=e_p)
     return e_p, e_q
 
@@ -355,33 +355,32 @@ def verify_bcc(
         raise ValueError("beta must lie in [0, 1]")
     if grid is None:
         grid = default_ratio_grid(instance, level)
+    grid = list(grid)
     ref = level_risk_minimizer(instance, which, level)
-    ref_risk = dist.expected_risk(ref)
-    sup = 0.0
-    witness = None
-    degenerate = 0
-    for h in grid:
-        dis = dist.disagreement_mass(h, ref)
-        if dis < RISK_ATOL:
-            continue
-        exc = max(dist.expected_risk(h) - ref_risk, 0.0)
-        if exc < RISK_ATOL and beta > 0.0:
-            # Zero excess with positive disagreement defeats any constant
-            # unless the exponent is zero, where disagreement alone is bounded.
-            degenerate += 1
-            continue
-        ratio = dis if beta == 0.0 else dis / exc**beta
-        if ratio > sup:
-            sup = ratio
-            witness = h
+    dis = dist.disagreement_masses(grid, ref)
+    exc = np.maximum(dist.expected_risks(grid) - dist.expected_risk(ref), 0.0)
+    live = dis >= RISK_ATOL
+    # Zero excess with positive disagreement defeats any constant unless the
+    # exponent is zero, where disagreement alone is bounded.
+    degen = live & (exc < RISK_ATOL) & (beta > 0.0)
+    live &= ~degen
+    ratios = np.zeros(len(grid))
+    if beta == 0.0:
+        ratios[live] = dis[live]
+    else:
+        # Python's float power, not NumPy's, so each ratio keeps the bits of
+        # the scalar definition dis / exc**beta.
+        ratios[live] = dis[live] / np.array([e**beta for e in exc[live].tolist()])
+    sup = float(ratios.max(initial=0.0))
     return BccCheck(
         level=level,
         which="P" if which in ("P", "source") else "Q",
         beta=beta,
         sup_ratio=sup,
-        confirmed=math.isfinite(sup) and degenerate == 0,
-        degenerate_pairs=degenerate,
-        witness=witness,
+        confirmed=math.isfinite(sup) and not degen.any(),
+        degenerate_pairs=int(degen.sum()),
+        # argmax takes the first of tied maxima, as a strict running sup does.
+        witness=grid[int(np.argmax(ratios))] if sup > 0.0 else None,
     )
 
 

@@ -19,6 +19,10 @@ from .classifiers import BoundaryHypothesis, TabularHypothesis
 
 _EDGE_TOL = 1e-12
 
+# Hypotheses per block of the grid kernels; bounds their (block x pieces)
+# temporaries whatever the grid size.
+_GRID_BLOCK = 2048
+
 
 @dataclass(frozen=True)
 class Uniform:
@@ -76,6 +80,23 @@ def _label_error(sign: int, law) -> float:
     return 1.0 - law.q if sign == 1 else law.q
 
 
+def _label_errors(signs: np.ndarray, law) -> np.ndarray:
+    """:func:`_label_error` over an array of signs."""
+    if isinstance(law, Deterministic):
+        return np.where(signs == law.label, 0.0, 1.0)
+    return np.where(signs == 1, 1.0 - law.q, law.q)
+
+
+def _piece_major_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """Row sums of per-segment (rows x pieces) terms, piece by piece and then
+    segment by segment: the order in which the scalar loops add them."""
+    total = np.zeros(terms[0].shape[0])
+    for j in range(terms[0].shape[1]):
+        for term in terms:
+            total += term[:, j]
+    return total
+
+
 def _label_bayes(law) -> float:
     if isinstance(law, Deterministic):
         return 0.0
@@ -114,6 +135,17 @@ class Segment:
             g = _power_antideriv(np.asarray([a, b]), self.shape.anchor, self.shape.exponent)
             frac = float(g[1] - g[0]) / self._norm()
         return self.mass * frac
+
+    def sub_masses(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """Element-wise :meth:`sub_mass` for ``x1 <= x2``, with the same arithmetic."""
+        a = np.maximum(self.lo, x1)
+        b = np.minimum(self.hi, x2)
+        if isinstance(self.shape, Uniform):
+            frac = (b - a) / (self.hi - self.lo)
+        else:
+            v, p = self.shape.anchor, self.shape.exponent
+            frac = (_power_antideriv(b, v, p) - _power_antideriv(a, v, p)) / self._norm()
+        return np.where(b > a, self.mass * frac, 0.0)
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF of the normalized segment at u in [0, 1]."""
@@ -227,6 +259,71 @@ class PiecewiseDistribution:
                     total += seg.sub_mass(x1, x2)
         return total
 
+    def _grid_blocks(self, hs):
+        """Yield (rows, boundaries, first signs) of ``hs`` grouped by boundary
+        count, in blocks of at most ``_GRID_BLOCK`` rows."""
+        by_count: dict[int, list[int]] = {}
+        for i, h in enumerate(hs):
+            if not isinstance(h, BoundaryHypothesis):
+                raise ValueError(
+                    f"piecewise grids hold BoundaryHypothesis, got {type(h).__name__}")
+            by_count.setdefault(len(h.boundaries), []).append(i)
+        for k, rows in sorted(by_count.items()):
+            for start in range(0, len(rows), _GRID_BLOCK):
+                block = rows[start:start + _GRID_BLOCK]
+                bounds = np.array([hs[i].boundaries for i in block], dtype=float)
+                signs = np.array([hs[i].first_sign for i in block])
+                yield block, bounds.reshape(len(block), k), signs
+
+    def _clipped_cuts(self, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Left and right ends of the pieces that sorted boundary rows cut out
+        of the support.  A boundary outside it is clipped onto an end and
+        leaves a zero-length piece, whose ``sub_mass`` is exactly 0.0."""
+        lo, hi = self.support
+        n = bounds.shape[0]
+        cuts = np.concatenate(
+            [np.full((n, 1), lo), np.clip(bounds, lo, hi), np.full((n, 1), hi)], axis=1)
+        return cuts[:, :-1], cuts[:, 1:]
+
+    def expected_risks(self, hs) -> np.ndarray:
+        """:meth:`expected_risk` of every hypothesis in ``hs``, as one array.
+
+        Rows with the same boundary count share one piece layout, so the
+        scalar method's anchor-local ``sub_mass`` arithmetic runs element-wise
+        and sums piece by piece, then segment by segment, in the scalar order:
+        the result is bit-equal to the scalar loop, which stays its oracle.
+        """
+        hs = list(hs)
+        out = np.empty(len(hs))
+        for rows, bounds, signs in self._grid_blocks(hs):
+            x1, x2 = self._clipped_cuts(bounds)
+            # Piece j lies right of exactly j boundaries when it has positive length.
+            piece_signs = signs[:, None] * np.where(np.arange(x1.shape[1]) % 2 == 0, 1, -1)
+            terms = [seg.sub_masses(x1, x2) * _label_errors(piece_signs, seg.label_law)
+                     for seg in self.segments]
+            out[rows] = _piece_major_sum(terms)
+        return out
+
+    def disagreement_masses(self, hs, ref: BoundaryHypothesis) -> np.ndarray:
+        """:meth:`disagreement_mass` of every hypothesis in ``hs`` against
+        ``ref``, as one array, bit-equal to the scalar loop."""
+        hs = list(hs)
+        if not isinstance(ref, BoundaryHypothesis):
+            raise ValueError(f"piecewise grids hold BoundaryHypothesis, got {type(ref).__name__}")
+        ref_bounds = np.asarray(ref.boundaries, dtype=float)
+        out = np.empty(len(hs))
+        for rows, bounds, signs in self._grid_blocks(hs):
+            both = np.concatenate(
+                [bounds, np.broadcast_to(ref_bounds, (len(rows), len(ref_bounds)))], axis=1)
+            x1, x2 = self._clipped_cuts(np.sort(both, axis=1))
+            # Each side's label right of x1 flips once per boundary <= x1.
+            flips = ((bounds[:, None, :] <= x1[:, :, None]).sum(axis=2)
+                     + np.searchsorted(ref_bounds, x1, side="right"))
+            differ = (flips % 2 == 1) == (signs == ref.first_sign)[:, None]
+            terms = [np.where(differ, seg.sub_masses(x1, x2), 0.0) for seg in self.segments]
+            out[rows] = _piece_major_sum(terms)
+        return out
+
     def to_dict(self) -> dict:
         segs = []
         for s in self.segments:
@@ -302,6 +399,14 @@ class DiscreteDistribution:
         s1 = self._point_labels(h1)
         s2 = self._point_labels(h2)
         return float(sum(m for m, a, b in zip(self.masses, s1, s2) if a != b))
+
+    def expected_risks(self, hs) -> np.ndarray:
+        """:meth:`expected_risk` of every hypothesis in ``hs``, as one array."""
+        return np.array([self.expected_risk(h) for h in hs], dtype=float)
+
+    def disagreement_masses(self, hs, ref) -> np.ndarray:
+        """:meth:`disagreement_mass` of every hypothesis in ``hs`` against ``ref``."""
+        return np.array([self.disagreement_mass(h, ref) for h in hs], dtype=float)
 
     def to_dict(self) -> dict:
         return {"kind": "discrete", "points": list(self.points),

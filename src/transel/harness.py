@@ -527,11 +527,13 @@ def _verify_threshold_nn(cfg: ExperimentConfig, entries: list):
         want = inst.truth[i].excess_q_of_source_opt
         entries.append(_entry("source_opt_target_excess", "", i, exc, want, abs(exc - want) < 1e-12))
         rho = inst.truth[i].rho
-        est = analysis.estimate_transfer_exponent(inst, i, candidate_rhos=(max(rho - 0.25, 0.05), rho))
+        grid = analysis.default_ratio_grid(inst, i)
+        est = analysis.estimate_transfer_exponent(
+            inst, i, candidate_rhos=(max(rho - 0.25, 0.05), rho), grid=grid)
         entries.append(_entry("exponent_selected", "", i, est.rho_hat, rho, est.rho_hat == rho))
         below = dict(est.candidate_consts).get(max(rho - 0.25, 0.05), math.inf)
         entries.append(_entry("exponent_minimality_diagnostic", "", i, below, ">1e2", below > 1e2))
-        bcc = analysis.verify_bcc(inst, "P", i)
+        bcc = analysis.verify_bcc(inst, "P", i, grid=grid)
         entries.append(_entry("bcc_source_confirmed", "", i, bcc.sup_ratio, "finite", bcc.confirmed))
     stair = [inst.truth[i].excess_q_of_source_opt for i in levels]
     strictly = all(a > b for a, b in zip(stair, stair[1:]))

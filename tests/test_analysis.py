@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from transel.analysis import (
+    RISK_ATOL,
     default_ratio_grid,
     estimate_transfer_exponent,
     excess_risk,
@@ -194,7 +196,54 @@ class TestTransferExponent:
             estimate_transfer_exponent(staircase, 1, candidate_rhos=(-1.0,))
 
 
+def _scalar_bcc(dist, grid, ref, beta):
+    """verify_bcc's supremum, one hypothesis at a time: (sup, witness, degenerate)."""
+    ref_risk = dist.expected_risk(ref)
+    sup, witness, degenerate = 0.0, None, 0
+    for h in grid:
+        dis = dist.disagreement_mass(h, ref)
+        if dis < RISK_ATOL:
+            continue
+        exc = max(dist.expected_risk(h) - ref_risk, 0.0)
+        if exc < RISK_ATOL and beta > 0.0:
+            degenerate += 1
+            continue
+        ratio = dis if beta == 0.0 else dis / exc**beta
+        if ratio > sup:
+            sup, witness = ratio, h
+    return sup, witness, degenerate
+
+
 class TestBcc:
+    # At beta 0.2 the target's supremum is one of the ratios where NumPy's
+    # power and Python's differ in the last bit.
+    @pytest.mark.parametrize("which, beta", [("P", 1.0), ("P", 0.0), ("Q", 1.0), ("Q", 0.2),
+                                             ("Q", 0.0)])
+    def test_matches_scalar_supremum_loop(self, staircase, which, beta):
+        full = default_ratio_grid(staircase, 2)
+        # The knot candidates and full[2536:2550] hold the target's
+        # co-minimizers and witness; the stride samples the sweeps.
+        grid = full[:40] + full[2536:2550] + full[::97]
+        dist = staircase.source if which == "P" else staircase.target
+        ref = level_risk_minimizer(staircase, which, 2)
+        _, best, _ = _scalar_bcc(dist, grid, ref, beta)
+        # Boundaries beyond the support change no label on it: the padded copy
+        # ties the witness bit for bit, and being first it must win.
+        hi = dist.support[1]
+        tie = BoundaryHypothesis(best.boundaries + (hi + 1.0, hi + 2.0), best.first_sign)
+        at = grid.index(best)
+        grid = grid[:at] + [tie] + grid[at:]
+        sup, witness, degenerate = _scalar_bcc(dist, grid, ref, beta)
+        assert witness == tie
+        assert degenerate > 0 if which == "Q" and beta > 0.0 else degenerate == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            chk = verify_bcc(staircase, which, 2, beta=beta, grid=grid)
+        assert chk.sup_ratio == sup
+        assert chk.witness == witness
+        assert chk.degenerate_pairs == degenerate
+        assert chk.confirmed == (degenerate == 0)
+
     def test_source_side_confirmed(self, staircase):
         for i in (1, 2, 3):
             chk = verify_bcc(staircase, "P", i)

@@ -1,5 +1,7 @@
 """Exact risk functionals and seeded sampling for the synthetic distributions."""
 
+from itertools import combinations, product
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from transel.distributions import (
     PowerLaw,
     Segment,
     Uniform,
+    _GRID_BLOCK,
     distribution_from_json,
     distribution_to_json,
 )
@@ -49,6 +52,31 @@ def _risk_quadrature(dist: PiecewiseDistribution, h: BoundaryHypothesis, n=800_0
             e = np.where(labels == 1, 1.0 - seg.label_law.q, seg.label_law.q)
         err[inside] = e
     return float(np.trapezoid(dens * err, xs))
+
+
+def _random_piecewise(k: int, rng: np.random.Generator) -> PiecewiseDistribution:
+    """k abutting segments on [-2, 2] with random shapes and label laws.
+
+    A power-law anchor sits at a segment end or strictly inside the segment.
+    """
+    edges = np.sort(rng.uniform(-2.0, 2.0, size=k + 1))
+    if np.any(np.diff(edges) < 1e-4):
+        edges = np.linspace(-2.0, 2.0, k + 1)
+    masses = rng.dirichlet(np.ones(k))
+    segs = []
+    for i in range(k):
+        lo, hi = float(edges[i]), float(edges[i + 1])
+        if rng.random() < 0.4:
+            shape = Uniform()
+        else:
+            anchor = (lo, hi, float(rng.uniform(lo, hi)))[int(rng.integers(0, 3))]
+            shape = PowerLaw(anchor=anchor, exponent=float(rng.uniform(0.5, 3.0)))
+        if rng.random() < 0.5:
+            law = Deterministic(int(rng.choice([-1, 1])))
+        else:
+            law = Bernoulli(float(rng.uniform(0.0, 1.0)))
+        segs.append(Segment(lo, hi, float(masses[i]), shape, law))
+    return PiecewiseDistribution(segs)
 
 
 def _two_segment_dist() -> PiecewiseDistribution:
@@ -184,6 +212,82 @@ class TestDisagreement:
         assert dist.disagreement_mass(h1, h2) == pytest.approx(0.5)
 
 
+def _assert_grid_kernels_match(dist, grid, ref):
+    """The grid methods equal loops over the scalar methods, bit for bit."""
+    risks = np.array([dist.expected_risk(h) for h in grid], dtype=float)
+    dis = np.array([dist.disagreement_mass(h, ref) for h in grid], dtype=float)
+    assert np.array_equal(dist.expected_risks(grid), risks)
+    assert np.array_equal(dist.disagreement_masses(grid, ref), dis)
+
+
+class TestGridKernels:
+    @given(st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_grids_match_scalar_loops(self, k, seed):
+        rng = np.random.default_rng(seed)
+        dist = _random_piecewise(k, rng)
+        lo, hi = dist.support
+        # Boundaries below, on and above the support, on segment ends and
+        # anchors, and at random inside and outside it.
+        special = {lo - 1.0, lo, hi, hi + 0.5}
+        for seg in dist.segments:
+            special |= {seg.lo, seg.hi}
+            if isinstance(seg.shape, PowerLaw):
+                special.add(seg.shape.anchor)
+        positions = np.array(sorted(special | set(rng.uniform(lo - 0.5, hi + 0.5, 8).tolist())))
+
+        def draw(count):
+            cuts = np.sort(rng.choice(positions, size=count, replace=False))
+            return BoundaryHypothesis(tuple(cuts.tolist()), int(rng.choice([-1, 1])))
+
+        ref = draw(int(rng.integers(0, 4)))
+        grid = [draw(int(rng.integers(0, 6))) for _ in range(40)]
+        for p in rng.choice(positions, size=5):
+            shared = tuple(sorted(set(ref.boundaries) | {float(p)}))
+            grid.append(BoundaryHypothesis(shared, int(rng.choice([-1, 1]))))
+        grid += [ref, BoundaryHypothesis(ref.boundaries, -ref.first_sign)]
+        grid = [grid[i] for i in rng.permutation(len(grid))]
+        _assert_grid_kernels_match(dist, grid, ref)
+
+    def test_grid_across_blocks_counts_and_a_support_gap(self):
+        dist = PiecewiseDistribution([
+            Segment(0.0, 1.0, 0.3, Uniform(), Deterministic(1)),
+            Segment(1.0, 2.0, 0.5, PowerLaw(anchor=1.4, exponent=0.7), Bernoulli(0.3)),
+            Segment(2.5, 3.0, 0.2, PowerLaw(anchor=3.0, exponent=2.5), Deterministic(-1)),
+        ])
+        grid = [BoundaryHypothesis((x,), 1)
+                for x in np.linspace(-0.5, 3.5, 2 * _GRID_BLOCK + 11).tolist()]
+        knots = (0.0, 1.0, 1.4, 2.0, 2.25, 2.5, 3.0)
+        grid += [BoundaryHypothesis(cuts, -1) for cuts in combinations(knots, 2)]
+        grid += [BoundaryHypothesis(), BoundaryHypothesis((), -1),
+                 BoundaryHypothesis((-1.0, 0.0, 1.4, 3.0, 4.0), 1)]
+        _assert_grid_kernels_match(dist, grid, BoundaryHypothesis((1.0, 1.4), 1))
+        _assert_grid_kernels_match(dist, grid, BoundaryHypothesis((), -1))
+
+    def test_discrete_grid_methods(self):
+        d = DiscreteDistribution((0.0, 1.0, 2.0), (0.2, 0.3, 0.5), (1.0, 0.25, 0.0))
+        grid = [BoundaryHypothesis((x,), s) for x in (-1.0, 0.0, 0.5, 1.0, 2.5) for s in (1, -1)]
+        grid += [TabularHypothesis(d.points, labels) for labels in product((1, -1), repeat=3)]
+        _assert_grid_kernels_match(d, grid, TabularHypothesis(d.points, (1, -1, -1)))
+
+    def test_empty_grid(self):
+        discrete = DiscreteDistribution((0.0, 1.0), (0.5, 0.5), (0.9, 0.1))
+        for dist in (_two_segment_dist(), discrete):
+            for got in (dist.expected_risks([]),
+                        dist.disagreement_masses([], BoundaryHypothesis())):
+                assert got.shape == (0,) and got.dtype == np.float64
+
+    def test_non_boundary_hypothesis_rejected(self):
+        dist = _two_segment_dist()
+        tab = TabularHypothesis((0.5,), (1,))
+        with pytest.raises(ValueError, match="got TabularHypothesis$"):
+            dist.expected_risks([BoundaryHypothesis(), tab])
+        with pytest.raises(ValueError, match="got TabularHypothesis$"):
+            dist.disagreement_masses([BoundaryHypothesis()], tab)
+        with pytest.raises(ValueError, match="got tuple$"):
+            dist.disagreement_masses([(0.5,)], BoundaryHypothesis())
+
+
 class TestSampling:
     def test_seed_determinism(self):
         dist = _two_segment_dist()
@@ -283,24 +387,7 @@ class TestSerialization:
     )
     @settings(max_examples=40, deadline=None)
     def test_random_piecewise_round_trip(self, k, seed):
-        rng = np.random.default_rng(seed)
-        edges = np.sort(rng.uniform(-2.0, 2.0, size=k + 1))
-        if np.any(np.diff(edges) < 1e-4):
-            edges = np.linspace(-2.0, 2.0, k + 1)
-        masses = rng.dirichlet(np.ones(k))
-        segs = []
-        for i in range(k):
-            if rng.random() < 0.5:
-                shape = Uniform()
-            else:
-                shape = PowerLaw(anchor=float(edges[i]), exponent=float(rng.uniform(0.5, 3.0)))
-            if rng.random() < 0.5:
-                law = Deterministic(int(rng.choice([-1, 1])))
-            else:
-                law = Bernoulli(float(rng.uniform(0.0, 1.0)))
-            segs.append(Segment(float(edges[i]), float(edges[i + 1]), float(masses[i]),
-                                shape, law))
-        dist = PiecewiseDistribution(segs)
+        dist = _random_piecewise(k, np.random.default_rng(seed))
         clone = distribution_from_json(distribution_to_json(dist))
-        h = BoundaryHypothesis((float(edges[0] + 0.3), ), 1)
+        h = BoundaryHypothesis((dist.support[0] + 0.3,), 1)
         assert clone.expected_risk(h) == pytest.approx(dist.expected_risk(h), abs=1e-15)
