@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 
-from transel.harness import ExperimentConfig, run_experiment
+from transel.harness import ExperimentConfig, run_experiment, write_outputs
 
 
 def main() -> None:
@@ -38,9 +38,9 @@ def main() -> None:
         n_target_grid=(args.n_target,),
         replicates=args.replicates,
         base_seed=args.seed,
-        out_dir=args.out,
     )
-    _, summary = run_experiment(cfg)
+    records, summary = run_experiment(cfg)
+    write_outputs(args.out, records, summary)
     for learner, mean in sorted(summary["worst_sigma_mean"].items()):
         print(f"worst-case mean excess {learner}: {mean:.6g}")
     print(f"adaptive/oracle ratio: {summary['ratio_adaptive_over_oracle']:.6g}")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 
-from transel.harness import ExperimentConfig, run_experiment
+from transel.harness import ExperimentConfig, run_experiment, write_outputs
 
 
 def main() -> None:
@@ -31,9 +31,9 @@ def main() -> None:
         n_target_grid=(args.n_target,),
         replicates=args.replicates,
         base_seed=args.seed,
-        out_dir=args.out,
     )
-    _, summary = run_experiment(cfg)
+    records, summary = run_experiment(cfg)
+    write_outputs(args.out, records, summary)
     for key, cell in sorted(summary["cells"].items()):
         print(f"{key}: mean={cell['mean_excess']:.6g} p90={cell['p90_excess']:.6g}")
     print(f"outputs in {args.out}")

@@ -117,47 +117,6 @@ class TabularHypothesis:
         return np.asarray([self.evaluate(x) for x in np.asarray(xs, dtype=float)], dtype=np.int8)
 
 
-def evaluate(hypothesis, x: float) -> int:
-    """Label of a single point under either classifier kind."""
-    return hypothesis.evaluate(x)
-
-
-def vc_dimension(level: int) -> int:
-    """VC dimension of the class of classifiers with at most ``level`` boundaries.
-
-    Any labeling of level+1 points has at most ``level`` sign changes, so
-    level+1 points are shattered; an alternating labeling of level+2 points
-    is not realizable.  Level 0 (constants) shatters exactly one point.
-    """
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    return level + 1
-
-
-def canonical_from_labels(points, labels) -> BoundaryHypothesis:
-    """Unique minimal-boundary classifier realizing ``labels`` on sorted ``points``.
-
-    Boundaries are placed at midpoints between consecutive points whose labels
-    differ; first_sign is the label of the leftmost point.
-    """
-    points = _as_float_tuple(points)
-    labels = tuple(int(y) for y in labels)
-    if len(points) == 0:
-        raise ValueError("cannot canonicalize an empty labeling")
-    if len(points) != len(labels):
-        raise ValueError("points and labels must have equal length")
-    if any(points[i] >= points[i + 1] for i in range(len(points) - 1)):
-        raise ValueError("points must be strictly increasing")
-    if any(y not in (-1, 1) for y in labels):
-        raise ValueError("labels must be -1 or +1")
-    cuts = [
-        (points[i] + points[i + 1]) / 2.0
-        for i in range(len(points) - 1)
-        if labels[i] != labels[i + 1]
-    ]
-    return BoundaryHypothesis(boundaries=tuple(cuts), first_sign=labels[0])
-
-
 def enumerate_hypotheses(points, max_changes: int):
     """All canonical classifiers on ``points`` with at most ``max_changes`` sign changes.
 

@@ -14,12 +14,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .harness import (
-    ExperimentConfig,
-    records_csv_text,
-    run_experiment,
-    summary_json_text,
-)
+from .harness import ExperimentConfig, run_experiment, write_outputs
 
 _COMMAND_KINDS = {
     "run": "rate_curve",
@@ -30,23 +25,6 @@ _COMMAND_KINDS = {
 }
 
 SEED_ENV_VAR = "TRANSEL_SEED"
-
-
-def records_json_text(records) -> str:
-    rows = [
-        {
-            "replicate": r.replicate,
-            "sigma": r.sigma,
-            "n_source": r.n_source,
-            "n_target": r.n_target,
-            "learner": r.learner,
-            "level": r.level,
-            "branch": r.branch,
-            "excess": r.excess,
-        }
-        for r in records
-    ]
-    return json.dumps(rows, sort_keys=True, indent=2) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,8 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> ExperimentConfig:
     kind = _COMMAND_KINDS[args.command]
     if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read config {args.config}: {exc.strerror}")
+        if not isinstance(data, dict):
+            raise ValueError(f"config {args.config} is not a JSON object")
         data["kind"] = kind
         cfg = ExperimentConfig.from_dict(data)
     elif args.command == "erm-check":
@@ -94,28 +77,6 @@ def _load_config(args) -> ExperimentConfig:
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     return cfg
-
-
-def _write(cfg: ExperimentConfig, records, summary, fmt: str) -> list[str]:
-    if not cfg.out_dir:
-        return []
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    written = []
-    if records is not None:
-        if fmt == "csv":
-            path = os.path.join(cfg.out_dir, "records.csv")
-            text = records_csv_text(records)
-        else:
-            path = os.path.join(cfg.out_dir, "records.json")
-            text = records_json_text(records)
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-        written.append(path)
-    path = os.path.join(cfg.out_dir, "summary.json")
-    with open(path, "w") as fh:
-        fh.write(summary_json_text(summary))
-    written.append(path)
-    return written
 
 
 def _report(cfg: ExperimentConfig, summary: dict) -> int:
@@ -164,15 +125,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        # run_experiment writes CSV itself when out_dir is set; route writing
-        # through the format-aware path here instead.
-        cfg_run = replace(cfg, out_dir=None)
-        records, summary = run_experiment(cfg_run)
+        records, summary = run_experiment(cfg)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    written = _write(cfg, records, summary, args.format)
+    paths = {}
+    if cfg.out_dir:
+        paths = write_outputs(cfg.out_dir, records, summary, args.format)
     code = _report(cfg, summary)
-    for path in written:
+    for path in paths.values():
         print(f"wrote {path}")
     return code
 

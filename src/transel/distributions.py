@@ -10,7 +10,6 @@ reproducible across label-law changes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -324,22 +323,6 @@ class PiecewiseDistribution:
             out[rows] = _piece_major_sum(terms)
         return out
 
-    def to_dict(self) -> dict:
-        segs = []
-        for s in self.segments:
-            d = {"lo": s.lo, "hi": s.hi, "mass": s.mass}
-            if isinstance(s.shape, Uniform):
-                d["shape"] = {"kind": "uniform"}
-            else:
-                d["shape"] = {"kind": "power", "anchor": s.shape.anchor,
-                              "exponent": s.shape.exponent}
-            if isinstance(s.label_law, Deterministic):
-                d["label_law"] = {"kind": "det", "label": s.label_law.label}
-            else:
-                d["label_law"] = {"kind": "bern", "q": s.label_law.q}
-            segs.append(d)
-        return {"kind": "piecewise", "segments": segs}
-
 
 class DiscreteDistribution:
     """Distribution over a finite support; pos_probs[i] = P[Y=+1 | X=points[i]]."""
@@ -407,31 +390,3 @@ class DiscreteDistribution:
     def disagreement_masses(self, hs, ref) -> np.ndarray:
         """:meth:`disagreement_mass` of every hypothesis in ``hs`` against ``ref``."""
         return np.array([self.disagreement_mass(h, ref) for h in hs], dtype=float)
-
-    def to_dict(self) -> dict:
-        return {"kind": "discrete", "points": list(self.points),
-                "masses": list(self.masses), "pos_probs": list(self.pos_probs)}
-
-
-def distribution_from_dict(d: dict):
-    if d["kind"] == "discrete":
-        return DiscreteDistribution(d["points"], d["masses"], d["pos_probs"])
-    if d["kind"] != "piecewise":
-        raise ValueError(f"unknown distribution kind {d['kind']!r}")
-    segs = []
-    for sd in d["segments"]:
-        shape = (Uniform() if sd["shape"]["kind"] == "uniform"
-                 else PowerLaw(anchor=sd["shape"]["anchor"], exponent=sd["shape"]["exponent"]))
-        law = (Deterministic(label=sd["label_law"]["label"]) if sd["label_law"]["kind"] == "det"
-               else Bernoulli(q=sd["label_law"]["q"]))
-        segs.append(Segment(lo=sd["lo"], hi=sd["hi"], mass=sd["mass"],
-                            shape=shape, label_law=law))
-    return PiecewiseDistribution(segs)
-
-
-def distribution_to_json(dist) -> str:
-    return json.dumps(dist.to_dict(), sort_keys=True)
-
-
-def distribution_from_json(text: str):
-    return distribution_from_dict(json.loads(text))

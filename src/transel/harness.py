@@ -15,18 +15,19 @@ import hashlib
 import io
 import json
 import math
+import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import analysis, families
 from .erm import BoundaryClassHierarchy, OneSidedThresholdHierarchy, erm_bruteforce
 from .selection import (
+    Fit,
     SelectionConfig,
     algorithm1,
     intersection_representative,
-    lepski_min_level,
     minimal_set_contains,
     oracle_learner,
     target_only_srm,
@@ -56,6 +57,7 @@ __all__ = [
     "erm_check",
     "gap_demo",
     "records_csv_text",
+    "records_json_text",
     "run_experiment",
     "run_replicates",
     "stable_seed",
@@ -85,7 +87,8 @@ class ExperimentConfig:
 
     ``params`` holds family-specific keys (rhos, rho_a, rho_b, alpha, ...)
     and kind-specific extras (coef_grid for calibrate); values must stay
-    JSON-native so the config round-trips losslessly.
+    JSON-native so the config round-trips losslessly.  ``out_dir`` is where
+    the CLI writes the outputs; ``run_experiment`` itself writes nothing.
     """
 
     kind: str
@@ -131,6 +134,9 @@ class ExperimentConfig:
         unknown = sorted(set(d) - _CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        missing = [k for k in ("kind", "family") if k not in d]
+        if missing:
+            raise ValueError(f"config is missing keys: {', '.join(missing)}")
         return cls(
             kind=d["kind"],
             family=d["family"],
@@ -272,17 +278,18 @@ def _oracle_level(instance, n_source: int, n_target: int, delta: float) -> int:
     return prof.i_best_plain
 
 
-def _run_learner(learner, instance, s_p, s_q, s_hold, cfg: SelectionConfig, oracle_level: int):
-    hierarchy = instance.hierarchy
+def _run_learner(learner, fit: Fit, oracle_level: int):
+    """One learner on a replicate's shared ``Fit``.  The wall time includes
+    whatever shared work this learner is the first to need."""
     t0 = time.perf_counter()
     if learner == "algorithm1":
-        h, trace = algorithm1(hierarchy, s_p, s_q, s_hold, cfg)
+        h, trace = algorithm1(fit)
         level, branch = trace.chosen_level, trace.branch
     elif learner == "oracle":
-        h = oracle_learner(hierarchy, oracle_level, s_p, s_q, s_hold, cfg)
+        h = oracle_learner(fit, oracle_level)
         level, branch = oracle_level, "oracle"
     elif learner == "target_only":
-        h = target_only_srm(hierarchy, s_q, cfg)
+        h = target_only_srm(fit)
         level, branch = None, "target-only"
     else:
         raise ValueError(f"unknown learner {learner!r}")
@@ -297,6 +304,16 @@ def run_replicates(cfg: ExperimentConfig, instances_by_grid=None) -> list[RunRec
     instance lists, letting callers run hand-made instances through the same
     machinery.  Record order is (σ, n_P, n_Q, replicate, learner).
     """
+    return [rec for *_, recs in _replicates(cfg, instances_by_grid) for rec in recs]
+
+
+def _replicates(cfg: ExperimentConfig, instances_by_grid=None):
+    """Fit the configured learners replicate by replicate, in record order.
+
+    Yields ``(instance, s_p, s_q, records)`` once per replicate: its source
+    and target samples and one record per learner, all fitted on one shared
+    ``Fit``.  Nothing of a replicate is kept once the caller moves on.
+    """
     grids: dict[tuple[int, int], list] = {}
     for n_p in cfg.n_source_grid:
         for n_q in cfg.n_target_grid:
@@ -309,7 +326,6 @@ def run_replicates(cfg: ExperimentConfig, instances_by_grid=None) -> list[RunRec
         raise ValueError("instance count must not vary across the sample grid")
     n_instances = counts.pop()
 
-    records: list[RunRecord] = []
     for idx in range(n_instances):
         for n_p in cfg.n_source_grid:
             for n_q in cfg.n_target_grid:
@@ -322,10 +338,10 @@ def run_replicates(cfg: ExperimentConfig, instances_by_grid=None) -> list[RunRec
                 )
                 for r in range(cfg.replicates):
                     s_p, s_q, s_hold = _draw(instance, n_p, n_q, cfg.base_seed, tag, r)
+                    fit = Fit(instance.hierarchy, s_p, s_q, s_hold, cfg.selection)
+                    records = []
                     for learner in cfg.learners:
-                        h, level, branch, wall = _run_learner(
-                            learner, instance, s_p, s_q, s_hold, cfg.selection, oracle_level
-                        )
+                        h, level, branch, wall = _run_learner(learner, fit, oracle_level)
                         records.append(
                             RunRecord(
                                 replicate=r,
@@ -339,7 +355,10 @@ def run_replicates(cfg: ExperimentConfig, instances_by_grid=None) -> list[RunRec
                                 wall_time=wall,
                             )
                         )
-    return records
+                    # The source workspace is a replicate's largest object:
+                    # free it before the next draw, not after.
+                    del fit
+                    yield instance, s_p, s_q, records
 
 
 def _group_mean(records, key) -> dict:
@@ -391,25 +410,17 @@ def _rate_curve_summary(cfg: ExperimentConfig, records) -> dict:
     }
 
 
-def _event_b_flags(instance, cfg: ExperimentConfig, n_p: int, n_q: int) -> list[bool]:
-    """Empirical event B per replicate: the samples avoid the witness regions.
+def _event_b(s_p, s_q) -> bool:
+    """Empirical event B on one replicate: the samples avoid the witness regions.
 
     Holds when no source draw lands in either inner interval and no target
     draw lands outside the middle interval.
     """
-    tag = _sigma_tag(instance)
     inner = ((1.0 / 3.0, 4.0 / 9.0), (5.0 / 9.0, 2.0 / 3.0))
     mid = (4.0 / 9.0, 5.0 / 9.0)
-    flags = []
-    for r in range(cfg.replicates):
-        s_p, s_q, _ = _draw(instance, n_p, n_q, cfg.base_seed, tag, r)
-        xp = s_p.xs
-        in_inner = False
-        for lo, hi in inner:
-            in_inner = in_inner or bool(np.any((xp >= lo) & (xp <= hi)))
-        out_mid = bool(np.any((s_q.xs < mid[0]) | (s_q.xs > mid[1])))
-        flags.append(not in_inner and not out_mid)
-    return flags
+    in_inner = any(np.any((s_p.xs >= lo) & (s_p.xs <= hi)) for lo, hi in inner)
+    out_mid = np.any((s_q.xs < mid[0]) | (s_q.xs > mid[1]))
+    return not in_inner and not out_mid
 
 
 def gap_demo(cfg: ExperimentConfig):
@@ -424,10 +435,13 @@ def gap_demo(cfg: ExperimentConfig):
         raise ValueError("gap_demo needs the gap or extended_gap family")
     n_p = cfg.n_source_grid[0]
     n_q = cfg.n_target_grid[0]
-    records = run_replicates(
-        replace(cfg, n_source_grid=(n_p,), n_target_grid=(n_q,))
-    )
     instances = build_family(cfg.family, cfg.params, n_p, n_q)
+    records = []
+    flags = {_sigma_tag(inst): [] for inst in instances}
+    one_cell = replace(cfg, n_source_grid=(n_p,), n_target_grid=(n_q,))
+    for inst, s_p, s_q, recs in _replicates(one_cell, {(n_p, n_q): instances}):
+        records += recs
+        flags[_sigma_tag(inst)].append(_event_b(s_p, s_q))
     rho_a, rho_b = cfg.params["rho_a"], cfg.params["rho_b"]
 
     per_sigma = _group_mean(records, lambda r: (r.learner, r.sigma))
@@ -456,12 +470,11 @@ def gap_demo(cfg: ExperimentConfig):
     analytic = families.event_b_probability(instances[0])
     empirical = {}
     event_pass = {}
-    for inst in instances:
-        flags = _event_b_flags(inst, cfg, n_p, n_q)
-        freq = float(np.mean(flags))
-        empirical[_sigma_tag(inst)] = freq
-        sigma3 = 3.0 * math.sqrt(analytic * (1.0 - analytic) / max(len(flags), 1))
-        event_pass[_sigma_tag(inst)] = bool(abs(freq - analytic) <= sigma3)
+    for tag, tag_flags in flags.items():
+        freq = float(np.mean(tag_flags))
+        empirical[tag] = freq
+        sigma3 = 3.0 * math.sqrt(analytic * (1.0 - analytic) / max(len(tag_flags), 1))
+        event_pass[tag] = bool(abs(freq - analytic) <= sigma3)
 
     min_plain = min(
         analysis.rate_profile(inst, n_p, n_q, delta=cfg.selection.delta).rates_plain.values()
@@ -777,10 +790,9 @@ def calibrate(cfg: ExperimentConfig) -> dict:
             excesses = []
             hits = 0
             for s_p, s_q, s_hold in draws:
-                h = oracle_learner(hierarchy, i_p, s_p, s_q, s_hold, sel)
-                excesses.append(_checked_excess(instance, h))
-                level, _ = lepski_min_level(hierarchy, s_q, sel)
-                hits += level <= i_q
+                fit = Fit(hierarchy, s_p, s_q, s_hold, sel)
+                excesses.append(_checked_excess(instance, oracle_learner(fit, i_p)))
+                hits += fit.target_scan[0] <= i_q
             arr = np.asarray(excesses)
             kappa = float(np.percentile(arr, 90)) / rate_at_ip
             boot_rng = _rng(stable_seed(cfg.base_seed, "boot", big_c, small_c))
@@ -829,15 +841,27 @@ def summary_json_text(summary: dict) -> str:
     return json.dumps(summary, sort_keys=True, indent=2) + "\n"
 
 
-def write_outputs(out_dir: str, records, summary: dict) -> dict:
-    import os
+def records_json_text(records) -> str:
+    rows = [{c: getattr(r, c) for c in RECORD_COLUMNS} for r in records]
+    return json.dumps(rows, sort_keys=True, indent=2) + "\n"
 
+
+def write_outputs(out_dir: str, records, summary: dict, fmt: str = "csv") -> dict:
+    """Write an experiment's outputs into ``out_dir``; the only code that does.
+
+    Records go to ``records.csv``, or ``records.json`` with ``fmt="json"``,
+    unless they are None; the summary always goes to ``summary.json``.
+    Returns the path of each file written, records first.
+    """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown records format {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     if records is not None:
-        paths["records"] = os.path.join(out_dir, "records.csv")
+        paths["records"] = os.path.join(out_dir, f"records.{fmt}")
+        text = records_csv_text(records) if fmt == "csv" else records_json_text(records)
         with open(paths["records"], "w", newline="") as fh:
-            fh.write(records_csv_text(records))
+            fh.write(text)
     paths["summary"] = os.path.join(out_dir, "summary.json")
     with open(paths["summary"], "w") as fh:
         fh.write(summary_json_text(summary))
@@ -845,7 +869,10 @@ def write_outputs(out_dir: str, records, summary: dict) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Dispatch on the experiment kind; returns (records, summary)."""
+    """Dispatch on the experiment kind; returns (records, summary).
+
+    Writes nothing: ``write_outputs`` turns the pair into files.
+    """
     if cfg.kind == "rate_curve":
         records = run_replicates(cfg)
         summary = _rate_curve_summary(cfg, records)
@@ -859,7 +886,4 @@ def run_experiment(cfg: ExperimentConfig):
         records, summary = None, calibrate(cfg)
     else:
         raise ValueError(f"unknown experiment kind {cfg.kind!r}")
-    summary = {"schema": SCHEMA_VERSION, **summary}
-    if cfg.out_dir:
-        write_outputs(cfg.out_dir, records, summary)
-    return records, summary
+    return records, {"schema": SCHEMA_VERSION, **summary}

@@ -6,7 +6,9 @@ level ERM); the smallest level whose minimal sets at all higher levels still
 share a member, found by scanning intersections; a holdout comparison that
 arbitrates between a source-selected candidate and the target's own pick; and
 the top-level adaptive procedure, its semi-oracle variant that is told which
-level to trust, and the target-only baseline.
+level to trust, and the target-only baseline.  The three learners take one
+``Fit`` per replicate, which builds the source context and the target scan
+once for all of them.
 
 All routines are deterministic: ties inherit the canonical hypothesis order
 of the ERM layer, and the enumeration budget makes every search outcome one
@@ -18,18 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .classifiers import BoundaryHypothesis, disagreement_count
 from .distributions import LabeledSample
-from .erm import (
-    SEARCH_EMPTY,
-    SEARCH_FOUND,
-    SearchResult,
-    empirical_risk,
-    mistake_count,
-)
+from .erm import SEARCH_FOUND, SearchResult, empirical_risk, mistake_count
 
 BRANCH_SOURCE = "source-accepted"
 BRANCH_TARGET = "target-fallback"
@@ -97,7 +94,13 @@ class SelectionConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "SelectionConfig":
+        unknown = sorted(set(d) - _SELECTION_KEYS)
+        if unknown:
+            raise ValueError(f"unknown selection keys: {', '.join(unknown)}")
         return SelectionConfig(**d)
+
+
+_SELECTION_KEYS = frozenset(SelectionConfig.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
@@ -281,15 +284,41 @@ def lepski_min_level(hierarchy, sample, cfg) -> tuple[int, object]:
     return level, h
 
 
-def algorithm2(hierarchy, candidate, target_sample, holdout_sample, cfg):
+@dataclass(eq=False)
+class Fit:
+    """One replicate's samples and the work every learner on them shares.
+
+    The source level context (DP workspace, level ERMs, complexity terms) and
+    the target level scan ``(level, hypothesis, diagnostics)`` are built on
+    first use and then kept, so the adaptive learner, the oracle and the
+    target-only baseline fitted on one ``Fit`` build each of them once.
+    """
+
+    hierarchy: object
+    source_sample: LabeledSample
+    target_sample: LabeledSample
+    holdout_sample: LabeledSample
+    cfg: SelectionConfig
+
+    @cached_property
+    def source(self) -> _LevelContext:
+        return _LevelContext(self.hierarchy, self.source_sample, self.cfg)
+
+    @cached_property
+    def target_scan(self):
+        return _LevelContext(self.hierarchy, self.target_sample, self.cfg).scan()
+
+
+def algorithm2(fit: Fit, candidate):
     """Holdout arbitration between a source candidate and the target's pick.
 
-    Runs the level scan on the target sample to get its own hypothesis, then
+    Takes the target's own hypothesis from the target level scan, then
     accepts the candidate iff its holdout risk exceeds the target pick's by
     at most sqrt(disagreement * A) + c*A with A = complexity_term(n', delta, 1).
     An empty holdout accepts the candidate outright.
     """
-    target_level, target_h, diagnostics = _LevelContext(hierarchy, target_sample, cfg).scan()
+    target_level, target_h, diagnostics = fit.target_scan
+    holdout_sample, cfg = fit.holdout_sample, fit.cfg
     n_hold = len(holdout_sample)
     if n_hold == 0:
         trace = SelectionTrace(
@@ -326,10 +355,10 @@ def algorithm2(hierarchy, candidate, target_sample, holdout_sample, cfg):
     return (candidate, trace) if accepted else (target_h, trace)
 
 
-def algorithm1(hierarchy, source_sample, target_sample, holdout_sample, cfg):
+def algorithm1(fit: Fit):
     """Full adaptive procedure: source level scan, then holdout arbitration."""
-    source_level, rep, source_diag = _LevelContext(hierarchy, source_sample, cfg).scan()
-    chosen, trace = algorithm2(hierarchy, rep, target_sample, holdout_sample, cfg)
+    source_level, rep, source_diag = fit.source.scan()
+    chosen, trace = algorithm2(fit, rep)
     diagnostics = dict(trace.diagnostics)
     diagnostics["source"] = source_diag
     trace = replace(
@@ -341,21 +370,19 @@ def algorithm1(hierarchy, source_sample, target_sample, holdout_sample, cfg):
     return chosen, trace
 
 
-def oracle_learner(hierarchy, level, source_sample, target_sample, holdout_sample, cfg):
+def oracle_learner(fit: Fit, level: int):
     """Arbitrated learner that is told which source level to trust.
 
     The candidate is the source ERM at that level (always a member of its own
     minimal set); the holdout test then decides as in the adaptive procedure.
     """
-    top = _top_level(hierarchy, cfg)
-    if not hierarchy.min_level <= level <= top:
+    erms = fit.source.erms
+    if level not in erms:
         raise ValueError(f"level {level} outside the configured range")
-    candidate = hierarchy.erm(source_sample, level).hypothesis
-    chosen, _ = algorithm2(hierarchy, candidate, target_sample, holdout_sample, cfg)
+    chosen, _ = algorithm2(fit, erms[level].hypothesis)
     return chosen
 
 
-def target_only_srm(hierarchy, target_sample, cfg):
+def target_only_srm(fit: Fit):
     """Baseline that ignores the source entirely: the target's own level scan."""
-    _, h = lepski_min_level(hierarchy, target_sample, cfg)
-    return h
+    return fit.target_scan[1]

@@ -39,6 +39,7 @@ from transel.harness import (
     run_replicates,
     stable_seed,
     verify_construction,
+    write_outputs,
 )
 from transel.selection import SelectionConfig, lepski_min_level
 
@@ -271,12 +272,10 @@ def test_reruns_are_byte_identical(tmp_path):
         replicates=10,
         base_seed=10,
     )
-    import dataclasses
-
     outs = []
     for sub in ("a", "b"):
         out = tmp_path / sub
-        run_experiment(dataclasses.replace(cfg, out_dir=str(out)))
+        write_outputs(str(out), *run_experiment(cfg))
         outs.append(out)
     for name in ("records.csv", "summary.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

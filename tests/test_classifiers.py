@@ -1,4 +1,4 @@
-"""Boundary classifiers, canonical labelings, and CPWL/ReLU surrogates."""
+"""Boundary classifiers, their enumeration and VC dimension, and CPWL/ReLU surrogates."""
 
 import itertools
 import math
@@ -13,13 +13,12 @@ from transel.classifiers import (
     CpwlFunction,
     HierarchySpec,
     TabularHypothesis,
-    canonical_from_labels,
     cpwl_to_relu_params,
     disagreement_count,
     enumerate_hypotheses,
     to_cpwl,
-    vc_dimension,
 )
+from transel.erm import BoundaryClassHierarchy
 
 
 class TestBoundaryHypothesis:
@@ -114,32 +113,6 @@ class TestTabularHypothesis:
             TabularHypothesis((0.0, 0.0), (1, 1))
 
 
-class TestCanonicalForm:
-    def test_midpoint_cuts(self):
-        h = canonical_from_labels((0.0, 1.0, 2.0, 3.0), (1, 1, -1, 1))
-        assert h.boundaries == (1.5, 2.5)
-        assert h.first_sign == 1
-
-    def test_boundary_count_equals_sign_changes(self):
-        labels = (1, -1, -1, 1, -1)
-        h = canonical_from_labels(tuple(range(5)), labels)
-        changes = sum(labels[i] != labels[i + 1] for i in range(4))
-        assert h.boundary_count == changes
-
-    @given(
-        st.lists(st.integers(-1000, 1000), min_size=1, max_size=9, unique=True),
-        st.data(),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_round_trip_realizes_labels(self, pts, data):
-        pts = sorted(float(p) for p in pts)
-        ys = data.draw(
-            st.lists(st.sampled_from([-1, 1]), min_size=len(pts), max_size=len(pts))
-        )
-        h = canonical_from_labels(pts, ys)
-        assert list(h.evaluate_many(np.asarray(pts))) == ys
-
-
 class TestEnumeration:
     @pytest.mark.parametrize("n,budget", [(1, 0), (3, 1), (4, 2), (5, 4), (6, 3)])
     def test_count_matches_binomials(self, n, budget):
@@ -166,26 +139,32 @@ class TestEnumeration:
 
 
 class TestVcDimension:
+    """Level i of the boundary hierarchy shatters i + 1 points and no more."""
+
+    @staticmethod
+    def _labelings(pts, budget):
+        return {tuple(h.evaluate_many(np.asarray(pts)).tolist())
+                for h in enumerate_hypotheses(pts, budget)}
+
     @pytest.mark.parametrize("level,dim", [(0, 1), (1, 2), (4, 5)])
     def test_values(self, level, dim):
-        assert vc_dimension(level) == dim
+        assert BoundaryClassHierarchy(max_level=4).vc_dim(level) == dim
 
     def test_shattering_witness(self):
         # every labeling of level+1 points is realizable within the budget
         level = 3
         pts = tuple(float(i) for i in range(level + 1))
-        for ys in itertools.product((-1, 1), repeat=len(pts)):
-            h = canonical_from_labels(pts, ys)
-            assert h.boundary_count <= level
+        assert self._labelings(pts, level) == set(itertools.product((-1, 1), repeat=len(pts)))
 
     def test_alternating_labeling_needs_full_budget(self):
         pts = tuple(float(i) for i in range(6))
         ys = tuple((-1) ** i for i in range(6))
-        assert canonical_from_labels(pts, ys).boundary_count == 5
+        assert ys not in self._labelings(pts, 4)
+        assert ys in self._labelings(pts, 5)
 
     def test_negative_level_raises(self):
         with pytest.raises(ValueError):
-            vc_dimension(-1)
+            BoundaryClassHierarchy(max_level=4).vc_dim(-1)
 
 
 def _random_hypothesis(rng: np.random.Generator) -> BoundaryHypothesis:

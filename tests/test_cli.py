@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 
 import pytest
 
@@ -62,6 +63,30 @@ class TestParsing:
         path = _write_cfg(tmp_path, "typo.json", payload)
         with pytest.raises(SystemExit, match="family_params"):
             main(["run", "--config", path])
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"params": {"rhos": [1.0]}}, "error: config is missing keys: family"),
+            (
+                {"family": "threshold_nn", "params": {"rhos": [1.0]}, "selection": {"Cc": 2.0}},
+                "error: unknown selection keys: Cc",
+            ),
+            ([{"family": "threshold_nn"}], "error: config .* is not a JSON object"),
+        ],
+        ids=["missing_family", "unknown_selection_key", "not_an_object"],
+    )
+    def test_bad_config_is_one_line_error(self, tmp_path, payload, message):
+        path = _write_cfg(tmp_path, "bad.json", payload)
+        with pytest.raises(SystemExit, match=message) as exc:
+            main(["run", "--config", path])
+        assert "\n" not in str(exc.value.code)
+
+    def test_missing_config_file_is_one_line_error(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(SystemExit, match=re.escape(f"error: cannot read config {path}")) as exc:
+            main(["run", "--config", str(path)])
+        assert "\n" not in str(exc.value.code)
 
 
 class TestRunCommand:

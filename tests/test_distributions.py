@@ -18,8 +18,6 @@ from transel.distributions import (
     Segment,
     Uniform,
     _GRID_BLOCK,
-    distribution_from_json,
-    distribution_to_json,
 )
 
 
@@ -365,29 +363,3 @@ class TestDiscrete:
     def test_mass_validation(self):
         with pytest.raises(ValueError):
             DiscreteDistribution((0.0, 1.0), (0.4, 0.4), (0.5, 0.5))
-
-
-class TestSerialization:
-    def test_piecewise_round_trip(self):
-        dist = _two_segment_dist()
-        clone = distribution_from_json(distribution_to_json(dist))
-        h = BoundaryHypothesis((0.4, 1.6), -1)
-        assert clone.expected_risk(h) == dist.expected_risk(h)
-        assert clone.bayes_risk() == dist.bayes_risk()
-
-    def test_discrete_round_trip(self):
-        d = DiscreteDistribution((0.0, 2.0), (0.5, 0.5), (0.9, 0.1))
-        clone = distribution_from_json(distribution_to_json(d))
-        assert clone.points == d.points
-        assert clone.pos_probs == d.pos_probs
-
-    @given(
-        st.integers(1, 4),
-        st.integers(0, 2 ** 31 - 1),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_random_piecewise_round_trip(self, k, seed):
-        dist = _random_piecewise(k, np.random.default_rng(seed))
-        clone = distribution_from_json(distribution_to_json(dist))
-        h = BoundaryHypothesis((dist.support[0] + 0.3,), 1)
-        assert clone.expected_risk(h) == pytest.approx(dist.expected_risk(h), abs=1e-15)

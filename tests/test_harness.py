@@ -1,12 +1,16 @@
 """Seeded experiment harness: configs, records, summaries, and the built-in suites."""
 
 import csv
+import hashlib
 import io
 import json
 import math
 
+import numpy as np
 import pytest
 
+from transel.distributions import DiscreteDistribution, PiecewiseDistribution
+from transel.erm import FiniteClassHierarchy, _NestedBoundaryHierarchy
 from transel.families import event_b_probability
 from transel.harness import (
     EXPERIMENT_KINDS,
@@ -25,8 +29,22 @@ from transel.harness import (
     summary_json_text,
     verify_construction,
     write_outputs,
+    _draw,
+    _sigma_tag,
 )
 from transel.selection import SelectionConfig
+
+
+def _count_calls(monkeypatch, classes, name) -> list:
+    """Patch ``name`` on each class to log its calls; returns the log."""
+    calls = []
+    for cls in classes:
+        def counted(self, *args, _orig=getattr(cls, name), **kwargs):
+            calls.append(self)
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
 
 
 def _gap_cfg(replicates=5, seed=3):
@@ -189,6 +207,22 @@ class TestRunReplicates:
         records = run_replicates(cfg)
         assert {r.learner for r in records} == {"target_only"}
 
+    def test_one_workspace_per_sample(self, monkeypatch):
+        workspaces = _count_calls(
+            monkeypatch, (_NestedBoundaryHierarchy, FiniteClassHierarchy), "make_workspace"
+        )
+        cfg = ExperimentConfig(
+            kind="rate_curve",
+            family="threshold_nn",
+            params={"rhos": [1.0, 2.0, 4.0]},
+            n_source_grid=(200,),
+            n_target_grid=(30,),
+            replicates=3,
+        )
+        run_replicates(cfg)
+        # the three learners share one source and one target workspace
+        assert len(workspaces) == 2 * 3
+
     def test_seed_changes_samples(self):
         def curve_cfg(seed):
             return ExperimentConfig(
@@ -231,9 +265,9 @@ class TestOutputs:
     def test_summary_only_kinds_skip_records(self, tmp_path):
         cfg = ExperimentConfig(
             kind="erm_check", family="threshold_nn", params={"rhos": [1.0]},
-            out_dir=str(tmp_path),
         )
         records, summary = run_experiment(cfg)
+        write_outputs(str(tmp_path), records, summary)
         assert records is None
         assert not (tmp_path / "records.csv").exists()
         assert (tmp_path / "summary.json").exists()
@@ -275,6 +309,28 @@ class TestGapDemo:
         _, summary = demo
         tags = {key.split("|")[1] for key in summary["per_sigma_mean"]}
         assert tags == {"++", "+-", "-+", "--"}
+
+    def test_event_b_from_fresh_draws(self, demo):
+        _, summary = demo
+        cfg = _gap_cfg(replicates=20)
+        inner = ((1.0 / 3.0, 4.0 / 9.0), (5.0 / 9.0, 2.0 / 3.0))
+        freqs = {}
+        for inst in build_family(cfg.family, cfg.params, 32, 1):
+            tag = _sigma_tag(inst)
+            flags = []
+            for r in range(cfg.replicates):
+                s_p, s_q, _ = _draw(inst, 32, 1, cfg.base_seed, tag, r)
+                in_inner = any(np.any((s_p.xs >= lo) & (s_p.xs <= hi)) for lo, hi in inner)
+                out_mid = np.any((s_q.xs < 4.0 / 9.0) | (s_q.xs > 5.0 / 9.0))
+                flags.append(bool(not in_inner and not out_mid))
+            freqs[tag] = float(np.mean(flags))
+        assert summary["event_b"]["empirical"] == freqs
+        assert any(0.0 < f < 1.0 for f in freqs.values())
+
+    def test_draws_each_sample_once(self, monkeypatch):
+        draws = _count_calls(monkeypatch, (PiecewiseDistribution, DiscreteDistribution), "sample")
+        gap_demo(_gap_cfg(replicates=3))
+        assert len(draws) == 3 * 3 * 4
 
     def test_family_gate(self):
         cfg = ExperimentConfig(kind="gap_demo", family="threshold_nn",
@@ -347,6 +403,30 @@ class TestCalibrate:
             assert 0.0 <= s["level_ok_freq"] <= 1.0
             assert s["kappa"] >= 0.0
             assert s["kappa_ci"][0] <= s["kappa"] <= s["kappa_ci"][1]
+
+    @pytest.mark.parametrize(
+        "family, params, n_source, n_target, sha256",
+        [
+            # target level scan hits differ across the settings
+            ("gap", {"rho_a": 2.0, "rho_b": 1.0, "enforce_regime": False}, 400, 100,
+             "7eddb552d27a0cef015c7bbc8668f7bd9b53e54e3812f45a93b39333de95052f"),
+            # oracle excesses differ across the settings
+            ("shifted_target", {}, 200, 200,
+             "55503e8657f285fc136e7cf7a329b2aaff0233568cd1eafb51fab1d043ede4f1"),
+        ],
+    )
+    def test_pinned_summary(self, family, params, n_source, n_target, sha256):
+        cfg = ExperimentConfig(
+            kind="calibrate",
+            family=family,
+            params={**params, "coef_grid": [0.02, 2.0]},
+            n_source_grid=(n_source,),
+            n_target_grid=(n_target,),
+            replicates=2,
+            base_seed=3,
+        )
+        text = summary_json_text(calibrate(cfg))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
 
     def test_deterministic(self):
         cfg = ExperimentConfig(

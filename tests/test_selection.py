@@ -4,11 +4,14 @@ import functools
 import itertools
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from transel.classifiers import BoundaryHypothesis, TabularHypothesis
 from transel.distributions import LabeledSample
+from transel.families import build_gap_family, build_threshold_nn
 from transel.erm import (
     SEARCH_FOUND,
     BoundaryClassHierarchy,
@@ -20,6 +23,7 @@ from transel.erm import (
 from transel.selection import (
     BRANCH_SOURCE,
     BRANCH_TARGET,
+    Fit,
     SelectionConfig,
     algorithm1,
     algorithm2,
@@ -215,7 +219,7 @@ class TestHoldoutArbitration:
 
     def test_good_candidate_accepted(self):
         truth, hierarchy, target, hold = self._setup()
-        chosen, trace = algorithm2(hierarchy, truth, target, hold, SelectionConfig())
+        chosen, trace = algorithm2(Fit(hierarchy, None, target, hold, SelectionConfig()), truth)
         assert trace.branch == BRANCH_SOURCE
         assert chosen == truth
         assert trace.test_lhs <= trace.test_rhs
@@ -223,7 +227,7 @@ class TestHoldoutArbitration:
     def test_bad_candidate_rejected(self):
         truth, hierarchy, target, hold = self._setup()
         bad = BoundaryHypothesis((0.5,), -1)
-        chosen, trace = algorithm2(hierarchy, bad, target, hold, SelectionConfig())
+        chosen, trace = algorithm2(Fit(hierarchy, None, target, hold, SelectionConfig()), bad)
         assert trace.branch == BRANCH_TARGET
         assert chosen == trace.target_hypothesis
         assert trace.chosen_level == trace.target_level
@@ -231,7 +235,8 @@ class TestHoldoutArbitration:
     def test_empty_holdout_accepts(self):
         truth, hierarchy, target, _ = self._setup()
         bad = BoundaryHypothesis((0.5,), -1)
-        chosen, trace = algorithm2(hierarchy, bad, target, _sample([], []), SelectionConfig())
+        fit = Fit(hierarchy, None, target, _sample([], []), SelectionConfig())
+        chosen, trace = algorithm2(fit, bad)
         assert trace.branch == BRANCH_SOURCE
         assert chosen == bad
         assert trace.holdout_size == 0
@@ -244,7 +249,7 @@ class TestAdaptiveProcedure:
         source = _labeled_by(truth, 4000, seed=20)
         target = _labeled_by(truth, 40, seed=21)
         hold = _labeled_by(truth, 40, seed=22)
-        chosen, trace = algorithm1(hierarchy, source, target, hold, SelectionConfig())
+        chosen, trace = algorithm1(Fit(hierarchy, source, target, hold, SelectionConfig()))
         assert trace.branch == BRANCH_SOURCE
         assert trace.source_level == 2
         assert trace.chosen_level == 2
@@ -256,7 +261,7 @@ class TestAdaptiveProcedure:
         source = _labeled_by(BoundaryHypothesis((0.5,), -1), 4000, seed=30)
         target = _labeled_by(BoundaryHypothesis((0.5,), 1), 300, seed=31)
         hold = _labeled_by(BoundaryHypothesis((0.5,), 1), 300, seed=32)
-        chosen, trace = algorithm1(hierarchy, source, target, hold, SelectionConfig())
+        chosen, trace = algorithm1(Fit(hierarchy, source, target, hold, SelectionConfig()))
         assert trace.branch == BRANCH_TARGET
         assert chosen.evaluate(0.25) == 1 and chosen.evaluate(0.8) == -1
 
@@ -266,8 +271,8 @@ class TestAdaptiveProcedure:
         source = _labeled_by(truth, 500, seed=40, flip=0.05)
         target = _labeled_by(truth, 50, seed=41, flip=0.05)
         hold = _labeled_by(truth, 50, seed=42, flip=0.05)
-        first = algorithm1(hierarchy, source, target, hold, SelectionConfig())
-        second = algorithm1(hierarchy, source, target, hold, SelectionConfig())
+        first = algorithm1(Fit(hierarchy, source, target, hold, SelectionConfig()))
+        second = algorithm1(Fit(hierarchy, source, target, hold, SelectionConfig()))
         assert first == second
 
 
@@ -278,21 +283,21 @@ class TestOracleAndBaseline:
         source = _labeled_by(truth, 3000, seed=50)
         target = _labeled_by(truth, 30, seed=51)
         hold = _labeled_by(truth, 30, seed=52)
-        h = oracle_learner(hierarchy, 2, source, target, hold, SelectionConfig())
+        h = oracle_learner(Fit(hierarchy, source, target, hold, SelectionConfig()), 2)
         assert h == hierarchy.erm(source, 2).hypothesis
 
     def test_oracle_level_validated(self):
         hierarchy = BoundaryClassHierarchy(max_level=2)
         s = _sample([0.0], [1])
         with pytest.raises(ValueError):
-            oracle_learner(hierarchy, 3, s, s, s, SelectionConfig())
+            oracle_learner(Fit(hierarchy, s, s, s, SelectionConfig()), 3)
 
     def test_target_only_matches_level_scan(self):
         truth = BoundaryHypothesis((0.6,), -1)
         hierarchy = BoundaryClassHierarchy(max_level=3)
         target = _labeled_by(truth, 400, seed=60)
         cfg = SelectionConfig()
-        assert target_only_srm(hierarchy, target, cfg) == lepski_min_level(
+        assert target_only_srm(Fit(hierarchy, None, target, None, cfg)) == lepski_min_level(
             hierarchy, target, cfg
         )[1]
 
@@ -359,7 +364,7 @@ class TestTabularFallback:
         target_level, target_h = _exhaustive_scan(hierarchy, target, cfg)
         assert lepski_min_level(hierarchy, source, cfg) == (source_level, rep)
 
-        chosen, trace = algorithm1(hierarchy, source, target, hold, cfg)
+        chosen, trace = algorithm1(Fit(hierarchy, source, target, hold, cfg))
         assert (trace.source_level, trace.candidate) == (source_level, rep)
         assert (trace.target_level, trace.target_hypothesis) == (target_level, target_h)
         a = complexity_term(len(hold), cfg.delta, 1)
@@ -373,7 +378,7 @@ class TestTabularFallback:
         hierarchy, cfg = _tabular_hierarchy(), _TABULAR_CFG
         _, target, hold = _tabular_samples(60)
         candidate = BoundaryHypothesis((0.6,), -1)
-        _, trace = algorithm2(hierarchy, candidate, target, hold, cfg)
+        _, trace = algorithm2(Fit(hierarchy, None, target, hold, cfg), candidate)
         target_h = trace.target_hypothesis
         a = complexity_term(len(hold), cfg.delta, 1)
         dis = float(np.mean(candidate.evaluate_many(hold.xs) != target_h.evaluate_many(hold.xs)))
@@ -384,7 +389,7 @@ class TestTabularFallback:
         levels, branches, past_erms = set(), set(), False
         for seed in _TABULAR_SEEDS:
             source, target, hold = _tabular_samples(seed)
-            _, trace = algorithm1(hierarchy, source, target, hold, cfg)
+            _, trace = algorithm1(Fit(hierarchy, source, target, hold, cfg))
             erms = {hierarchy.erm(source, j).hypothesis for j in (1, 2, 3)}
             levels.add(trace.source_level)
             branches.add(trace.branch)
@@ -392,3 +397,58 @@ class TestTabularFallback:
         assert levels == {1, 2}
         assert branches == {BRANCH_SOURCE, BRANCH_TARGET}
         assert past_erms
+
+
+@functools.cache
+def _shared_fit_instances():
+    """The four gap instances and a 3-level staircase."""
+    return (*build_gap_family(2.0, 1.0, 1000, 10, enforce_regime=False),
+            build_threshold_nn((1.0, 2.0, 4.0)))
+
+
+class TestSharedFit:
+    """Learners on one shared ``Fit`` against each on a fresh ``Fit`` of its own.
+
+    The fresh side follows the code paths of separate fits: the oracle's
+    candidate is a workspace-free ``hierarchy.erm``, and each scan runs on
+    a context of its own.
+    """
+
+    @given(
+        index=st.integers(0, 4),
+        seed=st.integers(0, 2 ** 32 - 1),
+        n_p=st.integers(0, 400),
+        n_q=st.integers(0, 40),
+        coef=st.sampled_from([0.25, 1.0]),
+        level=st.integers(0, 3),
+    )
+    @example(index=4, seed=0, n_p=5, n_q=40, coef=0.25, level=2)  # target fallback
+    @settings(max_examples=40, deadline=None)
+    def test_every_order_matches_fresh_fits(self, index, seed, n_p, n_q, coef, level):
+        instance = _shared_fit_instances()[index]
+        hierarchy = instance.hierarchy
+        level = min(max(level, hierarchy.min_level), hierarchy.max_level)
+        rng = np.random.default_rng(seed)
+        s_p = instance.source.sample(n_p, rng)
+        s_q, s_hold = instance.target.sample(n_q, rng), instance.target.sample(n_q, rng)
+        cfg = SelectionConfig(C=coef, c=coef)
+
+        def fresh():
+            return Fit(hierarchy, s_p, s_q, s_hold, cfg)
+
+        candidate = hierarchy.erm(s_p, level).hypothesis
+        expected = {
+            "algorithm1": algorithm1(fresh()),
+            "oracle": algorithm2(fresh(), candidate)[0],
+            "target_only": lepski_min_level(hierarchy, s_q, cfg)[1],
+        }
+        assert expected["algorithm1"][1].source_level == lepski_min_level(hierarchy, s_p, cfg)[0]
+        learners = {
+            "algorithm1": algorithm1,
+            "oracle": lambda fit: oracle_learner(fit, level),
+            "target_only": target_only_srm,
+        }
+        for order in itertools.permutations(learners):
+            fit = fresh()
+            for name in order:
+                assert learners[name](fit) == expected[name], (order, name)
