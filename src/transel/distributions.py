@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import BoundaryHypothesis, TabularHypothesis
+from .classifiers import BoundaryHypothesis
 
 _EDGE_TOL = 1e-12
 
@@ -361,8 +361,6 @@ class DiscreteDistribution:
         return LabeledSample(xs, ys, seed, source_tag)
 
     def _point_labels(self, h) -> np.ndarray:
-        if isinstance(h, TabularHypothesis):
-            return np.asarray([h.evaluate(x) for x in self.points])
         return h.evaluate_many(np.asarray(self.points))
 
     def expected_risk(self, h) -> float:

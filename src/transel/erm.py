@@ -293,16 +293,6 @@ class _NestedBoundaryHierarchy:
     def vc_dim(self, level: int) -> int:
         raise NotImplementedError
 
-    @property
-    def spec(self) -> HierarchySpec:
-        return HierarchySpec(
-            min_level=self.min_level,
-            max_level=self.max_level,
-            vc_dims=tuple(
-                self.vc_dim(i) for i in range(self.min_level, self.max_level + 1)
-            ),
-        )
-
     def _check_level(self, level: int):
         if not self.min_level <= level <= self.max_level:
             raise ValueError(
@@ -399,15 +389,11 @@ class FiniteClassHierarchy:
         self.levels = {k: tuple(levels[k]) for k in keys}
         self._spec = HierarchySpec(self.min_level, self.max_level, tuple(vc_dims))
 
-    @property
-    def spec(self) -> HierarchySpec:
-        return self._spec
-
     def vc_dim(self, level: int) -> int:
         return self._spec.vc_dim(level)
 
     def make_workspace(self, sample: LabeledSample) -> dict:
-        return {"sample": sample, "ranked": {}}
+        return {"ranked": {}}
 
     def _ranked(self, sample, level, workspace):
         if workspace is not None and level in workspace["ranked"]:

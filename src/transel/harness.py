@@ -22,13 +22,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import analysis, families
+from .classifiers import BoundaryHypothesis
+from .distributions import LabeledSample
 from .erm import BoundaryClassHierarchy, OneSidedThresholdHierarchy, erm_bruteforce
 from .selection import (
     Fit,
+    LevelContext,
     SelectionConfig,
     algorithm1,
-    intersection_representative,
-    minimal_set_contains,
+    algorithm2,
     oracle_learner,
     target_only_srm,
 )
@@ -307,6 +309,15 @@ def run_replicates(cfg: ExperimentConfig, instances_by_grid=None) -> list[RunRec
     return [rec for *_, recs in _replicates(cfg, instances_by_grid) for rec in recs]
 
 
+def _instance_grids(cfg: ExperimentConfig) -> dict[tuple[int, int], list]:
+    """The family's instances for every (n_source, n_target) cell of the grid."""
+    return {
+        (n_p, n_q): build_family(cfg.family, cfg.params, n_p, n_q)
+        for n_p in cfg.n_source_grid
+        for n_q in cfg.n_target_grid
+    }
+
+
 def _replicates(cfg: ExperimentConfig, instances_by_grid=None):
     """Fit the configured learners replicate by replicate, in record order.
 
@@ -314,13 +325,13 @@ def _replicates(cfg: ExperimentConfig, instances_by_grid=None):
     and target samples and one record per learner, all fitted on one shared
     ``Fit``.  Nothing of a replicate is kept once the caller moves on.
     """
-    grids: dict[tuple[int, int], list] = {}
-    for n_p in cfg.n_source_grid:
-        for n_q in cfg.n_target_grid:
-            if instances_by_grid is not None:
-                grids[(n_p, n_q)] = list(instances_by_grid[(n_p, n_q)])
-            else:
-                grids[(n_p, n_q)] = build_family(cfg.family, cfg.params, n_p, n_q)
+    if instances_by_grid is None:
+        instances_by_grid = _instance_grids(cfg)
+    grids = {
+        (n_p, n_q): list(instances_by_grid[(n_p, n_q)])
+        for n_p in cfg.n_source_grid
+        for n_q in cfg.n_target_grid
+    }
     counts = {len(v) for v in grids.values()}
     if len(counts) != 1:
         raise ValueError("instance count must not vary across the sample grid")
@@ -385,11 +396,11 @@ def _summarize_records(records) -> dict:
     return cells
 
 
-def _rate_curve_summary(cfg: ExperimentConfig, records) -> dict:
+def _rate_curve_summary(cfg: ExperimentConfig, grids, records) -> dict:
     profiles = {}
     for n_p in cfg.n_source_grid:
         for n_q in cfg.n_target_grid:
-            inst = build_family(cfg.family, cfg.params, n_p, n_q)[0]
+            inst = grids[(n_p, n_q)][0]
             prof = analysis.rate_profile(inst, n_p, n_q, delta=cfg.selection.delta)
             profiles[f"{n_p}|{n_q}"] = {
                 "rates_conf": {str(i): prof.rates_conf[i] for i in prof.levels},
@@ -476,8 +487,10 @@ def gap_demo(cfg: ExperimentConfig):
         sigma3 = 3.0 * math.sqrt(analytic * (1.0 - analytic) / max(len(tag_flags), 1))
         event_pass[tag] = bool(abs(freq - analytic) <= sigma3)
 
-    min_plain = min(
-        analysis.rate_profile(inst, n_p, n_q, delta=cfg.selection.delta).rates_plain.values()
+    # The worst σ's best plain rate.
+    min_plain = max(
+        min(analysis.rate_profile(inst, n_p, n_q, delta=cfg.selection.delta).rates_plain.values())
+        for inst in instances
     )
     summary = {
         "kind": "gap_demo",
@@ -695,8 +708,6 @@ def _random_erm_case(seed: int):
     else:
         level = int(rng.integers(1, 5))
         hierarchy = OneSidedThresholdHierarchy(max_level=level)
-    from .distributions import LabeledSample
-
     sample = LabeledSample(xs, ys, seed, "erm-check")
     return sample, hierarchy, level
 
@@ -714,8 +725,8 @@ def erm_check(cfg: ExperimentConfig, cases: int = 200, fault_case: int | None = 
         seed = stable_seed(cfg.base_seed, "erm-case", i)
         seeds.append(seed)
         sample, hierarchy, level = _random_erm_case(seed)
-        res = hierarchy.erm(sample, level)
-        got = res.mistakes
+        ctx = LevelContext(hierarchy, sample, cfg.selection)
+        got = ctx.erm(level).mistakes
         if fault_case is not None and i == fault_case:
             got += 1
         brute = erm_bruteforce(sample, hierarchy.flip_budgets(level)).mistakes
@@ -725,10 +736,8 @@ def erm_check(cfg: ExperimentConfig, cases: int = 200, fault_case: int | None = 
             )
         # Intersection search vs exhaustive minimal-set scan.
         scan_from = hierarchy.min_level
-        result = intersection_representative(hierarchy, sample, scan_from, cfg.selection)
+        result = ctx.intersection(scan_from)
         if len(sample) == 0:
-            from .classifiers import BoundaryHypothesis
-
             pool = [
                 BoundaryHypothesis((), s)
                 for s in sorted(hierarchy.flip_budgets(hierarchy.max_level))
@@ -737,10 +746,7 @@ def erm_check(cfg: ExperimentConfig, cases: int = 200, fault_case: int | None = 
             pool = hierarchy.enumerate_on(sample.xs, hierarchy.max_level)
         exhaustive = None
         for h in pool:
-            if all(
-                minimal_set_contains(hierarchy, h, sample, j, cfg.selection)
-                for j in range(scan_from, hierarchy.max_level + 1)
-            ):
+            if all(ctx.is_member(h, j) for j in range(scan_from, ctx.top + 1)):
                 exhaustive = h
                 break
         agree = (result.status == "found") == (exhaustive is not None)
@@ -783,15 +789,19 @@ def calibrate(cfg: ExperimentConfig) -> dict:
     draws = [
         _draw(instance, n_p, n_q, cfg.base_seed, tag, r) for r in range(cfg.replicates)
     ]
+    # The source ERM does not depend on C or c: one source context per draw.
+    candidates = [
+        LevelContext(hierarchy, s_p, cfg.selection).erm(i_p).hypothesis for s_p, _, _ in draws
+    ]
     settings = []
     for big_c in grid:
         for small_c in grid:
             sel = replace(cfg.selection, C=float(big_c), c=float(small_c))
             excesses = []
             hits = 0
-            for s_p, s_q, s_hold in draws:
+            for (s_p, s_q, s_hold), candidate in zip(draws, candidates):
                 fit = Fit(hierarchy, s_p, s_q, s_hold, sel)
-                excesses.append(_checked_excess(instance, oracle_learner(fit, i_p)))
+                excesses.append(_checked_excess(instance, algorithm2(fit, candidate)[0]))
                 hits += fit.target_scan[0] <= i_q
             arr = np.asarray(excesses)
             kappa = float(np.percentile(arr, 90)) / rate_at_ip
@@ -874,8 +884,9 @@ def run_experiment(cfg: ExperimentConfig):
     Writes nothing: ``write_outputs`` turns the pair into files.
     """
     if cfg.kind == "rate_curve":
-        records = run_replicates(cfg)
-        summary = _rate_curve_summary(cfg, records)
+        grids = _instance_grids(cfg)
+        records = run_replicates(cfg, grids)
+        summary = _rate_curve_summary(cfg, grids, records)
     elif cfg.kind == "gap_demo":
         records, summary = gap_demo(cfg)
     elif cfg.kind == "verify":

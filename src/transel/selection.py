@@ -6,9 +6,10 @@ level ERM); the smallest level whose minimal sets at all higher levels still
 share a member, found by scanning intersections; a holdout comparison that
 arbitrates between a source-selected candidate and the target's own pick; and
 the top-level adaptive procedure, its semi-oracle variant that is told which
-level to trust, and the target-only baseline.  The three learners take one
-``Fit`` per replicate, which builds the source context and the target scan
-once for all of them.
+level to trust, and the target-only baseline.  A sample's minimal sets,
+intersections and level scan are all read through one ``LevelContext``; the
+three learners take one ``Fit`` per replicate, which builds the source
+context and the target scan once for all of them.
 
 All routines are deterministic: ties inherit the canonical hypothesis order
 of the ERM layer, and the enumeration budget makes every search outcome one
@@ -26,7 +27,7 @@ import numpy as np
 
 from .classifiers import BoundaryHypothesis, disagreement_count
 from .distributions import LabeledSample
-from .erm import SEARCH_FOUND, SearchResult, empirical_risk, mistake_count
+from .erm import SEARCH_FOUND, ErmResult, SearchResult, empirical_risk, mistake_count
 
 BRANCH_SOURCE = "source-accepted"
 BRANCH_TARGET = "target-fallback"
@@ -145,8 +146,15 @@ def _top_level(hierarchy, cfg: SelectionConfig) -> int:
     return top
 
 
-class _LevelContext:
-    """Per-sample cache: level ERMs, how each labels the sample, complexity terms."""
+class LevelContext:
+    """One sample's minimal sets, their intersections and its level scan.
+
+    Builds, once, the DP workspace, the ERM of every level from the floor to
+    the configured top, and each level's complexity term; how each level ERM
+    labels the sample is cached on first use.  ``is_member``,
+    ``intersection`` and ``scan`` all read these, so any number of questions
+    about one sample share one workspace.
+    """
 
     def __init__(self, hierarchy, sample: LabeledSample, cfg: SelectionConfig):
         self.hierarchy = hierarchy
@@ -167,6 +175,12 @@ class _LevelContext:
                     hierarchy.vc_dim(j),
                 )
 
+    def erm(self, level: int) -> ErmResult:
+        """The level's ERM; a level outside the configured range is a ValueError."""
+        if level not in self.erms:
+            raise ValueError(f"level {level} outside the configured range")
+        return self.erms[level]
+
     def slack(self, level: int, disagreement: float) -> float:
         a = self.comp[level]
         return self.cfg.C * math.sqrt(disagreement * a) + self.cfg.c * a
@@ -181,8 +195,17 @@ class _LevelContext:
             self._erm_labelings[level] = _labeling(erm, self.sample)
         return _disagreement(h, labeling, erm, self._erm_labelings[level], self.sample)
 
-    def is_member(self, h, mistakes: int, level: int) -> bool:
-        gap = (mistakes - self.erms[level].mistakes) / self.n
+    def is_member(self, h, level: int) -> bool:
+        """Membership in the level's empirical minimal set.
+
+        True iff the empirical risk gap to the level ERM is at most
+        C*sqrt(disagreement * A) + c*A for that level's complexity term A;
+        everything is a member on an empty sample.
+        """
+        erm = self.erm(level)
+        if self.n == 0:
+            return True
+        gap = (mistake_count(h, self.sample) - erm.mistakes) / self.n
         dis = self.disagreement(h, _labeling(h, self.sample), level)
         return gap <= self.slack(level, dis)
 
@@ -206,9 +229,15 @@ class _LevelContext:
         return int(math.floor(cap + 1e-9))
 
     def intersection(self, from_level: int) -> SearchResult:
+        """A member of every minimal set at levels from_level..top, if one exists.
+
+        Search order: level ERMs first, then all of the class at from_level in
+        increasing-mistake order under a branch-and-bound cap.  Status is
+        ``inconclusive`` when the budget runs out before a verdict.
+        """
+        erm = self.erm(from_level)
         if self.n == 0:
-            h = self.erms[from_level].hypothesis
-            return SearchResult(SEARCH_FOUND, h, 0, 0)
+            return SearchResult(SEARCH_FOUND, erm.hypothesis, 0, 0)
         # fast path: level ERMs that fit in the class at from_level
         tried = []
         for j in range(from_level, self.top + 1):
@@ -231,7 +260,12 @@ class _LevelContext:
         )
 
     def scan(self):
-        """Smallest level whose higher-level minimal sets share a member."""
+        """Smallest level whose higher-level minimal sets share a member.
+
+        Returns ``(level, hypothesis, diagnostics)``.  The top level always
+        qualifies, so the scan is total; inconclusive searches count as
+        empty, which can only push the level upward.
+        """
         diagnostics = {}
         for i in range(self.hierarchy.min_level, self.top + 1):
             if self.n == 0:
@@ -245,43 +279,6 @@ class _LevelContext:
             if res.status == SEARCH_FOUND:
                 return i, res.hypothesis, diagnostics
         raise AssertionError("top level intersection cannot be empty")
-
-
-def minimal_set_contains(hierarchy, h, sample, level, cfg) -> bool:
-    """Membership in the level's empirical minimal set.
-
-    True iff the empirical risk gap to the level ERM is at most
-    C*sqrt(disagreement * A) + c*A for that level's complexity term A.
-    """
-    ctx = _LevelContext(hierarchy, sample, cfg)
-    if level not in ctx.erms:
-        raise ValueError(f"level {level} outside the configured range")
-    if len(sample) == 0:
-        return True
-    return ctx.is_member(h, mistake_count(h, sample), level)
-
-
-def intersection_representative(hierarchy, sample, from_level, cfg) -> SearchResult:
-    """A member of every minimal set at levels from_level..top, if one exists.
-
-    Search order: level ERMs first, then all of the class at from_level in
-    increasing-mistake order under a branch-and-bound cap.  Status is
-    ``inconclusive`` when the budget runs out before a verdict.
-    """
-    ctx = _LevelContext(hierarchy, sample, cfg)
-    if from_level not in ctx.erms:
-        raise ValueError(f"level {from_level} outside the configured range")
-    return ctx.intersection(from_level)
-
-
-def lepski_min_level(hierarchy, sample, cfg) -> tuple[int, object]:
-    """Smallest level with a nonempty minimal-set intersection above it.
-
-    The top level always qualifies, so the scan is total.  Inconclusive
-    searches count as empty, which can only push the level upward.
-    """
-    level, h, _ = _LevelContext(hierarchy, sample, cfg).scan()
-    return level, h
 
 
 @dataclass(eq=False)
@@ -301,12 +298,12 @@ class Fit:
     cfg: SelectionConfig
 
     @cached_property
-    def source(self) -> _LevelContext:
-        return _LevelContext(self.hierarchy, self.source_sample, self.cfg)
+    def source(self) -> LevelContext:
+        return LevelContext(self.hierarchy, self.source_sample, self.cfg)
 
     @cached_property
     def target_scan(self):
-        return _LevelContext(self.hierarchy, self.target_sample, self.cfg).scan()
+        return LevelContext(self.hierarchy, self.target_sample, self.cfg).scan()
 
 
 def algorithm2(fit: Fit, candidate):
@@ -376,10 +373,7 @@ def oracle_learner(fit: Fit, level: int):
     The candidate is the source ERM at that level (always a member of its own
     minimal set); the holdout test then decides as in the adaptive procedure.
     """
-    erms = fit.source.erms
-    if level not in erms:
-        raise ValueError(f"level {level} outside the configured range")
-    chosen, _ = algorithm2(fit, erms[level].hypothesis)
+    chosen, _ = algorithm2(fit, fit.source.erm(level).hypothesis)
     return chosen
 
 

@@ -41,7 +41,7 @@ from transel.harness import (
     verify_construction,
     write_outputs,
 )
-from transel.selection import SelectionConfig, lepski_min_level
+from transel.selection import LevelContext, SelectionConfig
 
 
 def _rng(*parts):
@@ -201,7 +201,7 @@ def test_level_selection_stays_at_or_below_target_optimum():
     hits = 0
     for r in range(reps):
         s = inst.target.sample(400, _rng(6, "lepski", r))
-        level, _ = lepski_min_level(tall, s, sel)
+        level, _, _ = LevelContext(tall, s, sel).scan()
         hits += level <= inst.i_star_target
     assert hits / reps >= 0.9 - 3.0 * math.sqrt(0.09 / reps)
     assert time.perf_counter() - t0 < 300.0

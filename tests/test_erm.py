@@ -227,12 +227,6 @@ class TestHierarchies:
         with pytest.raises(ValueError):
             BoundaryClassHierarchy(max_level=0, min_level=1)
 
-    def test_spec_mirrors_hierarchy(self):
-        h = BoundaryClassHierarchy(max_level=2, min_level=1)
-        spec = h.spec
-        assert (spec.min_level, spec.max_level) == (1, 2)
-        assert spec.vc_dims == (2, 3)
-
 
 class TestFiniteClassHierarchy:
     def _build(self):

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from transel import families, harness
 from transel.distributions import DiscreteDistribution, PiecewiseDistribution
 from transel.erm import FiniteClassHierarchy, _NestedBoundaryHierarchy
 from transel.families import event_b_probability
@@ -223,6 +224,27 @@ class TestRunReplicates:
         # the three learners share one source and one target workspace
         assert len(workspaces) == 2 * 3
 
+    def test_rate_curve_builds_each_cell_once(self, monkeypatch):
+        builds = []
+
+        def counted(*args, _orig=families.build_threshold_nn, **kwargs):
+            builds.append(args)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(families, "build_threshold_nn", counted)
+        cfg = ExperimentConfig(
+            kind="rate_curve",
+            family="threshold_nn",
+            params={"rhos": [1.0, 2.0]},
+            n_source_grid=(40, 80),
+            n_target_grid=(10,),
+            replicates=1,
+        )
+        _, summary = run_experiment(cfg)
+        # the replicates and the summary's rate profiles read the same instances
+        assert len(builds) == 2
+        assert set(summary["profiles"]) == {"40|10", "80|10"}
+
     def test_seed_changes_samples(self):
         def curve_cfg(seed):
             return ExperimentConfig(
@@ -332,6 +354,23 @@ class TestGapDemo:
         gap_demo(_gap_cfg(replicates=3))
         assert len(draws) == 3 * 3 * 4
 
+    def test_min_rate_plain_is_the_worst_sigmas(self, monkeypatch):
+        # per σ, the best plain rates are 0.00552 (++, -+) and 0.0078125 (+-, --)
+        cfg = ExperimentConfig(
+            kind="gap_demo",
+            family="extended_gap",
+            params={"rho_a": 4.0, "rho_b": 2.0},
+            n_source_grid=(32768,),
+            n_target_grid=(1,),
+            learners=("target_only",),
+        )
+        assert gap_demo(cfg)[1]["targets"]["min_rate_plain"] == 0.0078125
+        # the value must not depend on which σ the family lists last
+        monkeypatch.setattr(
+            harness, "build_family", lambda *args, _orig=build_family: _orig(*args)[::-1]
+        )
+        assert gap_demo(cfg)[1]["targets"]["min_rate_plain"] == 0.0078125
+
     def test_family_gate(self):
         cfg = ExperimentConfig(kind="gap_demo", family="threshold_nn",
                                params={"rhos": [1.0]})
@@ -382,6 +421,25 @@ class TestErmCheck:
         assert report["ok"] is False
         assert report["mismatches"][0]["case"] == 7
 
+    def test_one_workspace_per_case(self, monkeypatch):
+        workspaces = _count_calls(
+            monkeypatch, (_NestedBoundaryHierarchy, FiniteClassHierarchy), "make_workspace"
+        )
+        cfg = ExperimentConfig(kind="erm_check", family="threshold_nn",
+                               params={"rhos": [1.0]}, base_seed=7)
+        erm_check(cfg, cases=40)
+        # the ERM, the intersection search and the exhaustive scan share one context
+        assert len(workspaces) == 40
+
+    def test_pinned_summary(self):
+        # the summary `transel erm-check --seed 7` writes
+        cfg = ExperimentConfig(kind="erm_check", family="threshold_nn",
+                               params={"rhos": [1.0]}, base_seed=7)
+        text = summary_json_text(run_experiment(cfg)[1])
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "bc365b334b44aa3a3e356cbf920e94292e956e8596cbfb5b85b9cbf1fe4bbd5a"
+        )
+
 
 class TestCalibrate:
     def test_sweep_and_recommendation(self):
@@ -427,6 +485,35 @@ class TestCalibrate:
         )
         text = summary_json_text(calibrate(cfg))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+
+    def test_one_source_workspace_per_draw(self, monkeypatch):
+        workspaces = _count_calls(
+            monkeypatch, (_NestedBoundaryHierarchy, FiniteClassHierarchy), "make_workspace"
+        )
+        cfg = ExperimentConfig(
+            kind="calibrate",
+            family="threshold_nn",
+            params={"rhos": [1.0, 2.0, 4.0], "coef_grid": [0.5, 1.0]},
+            n_source_grid=(400,),
+            n_target_grid=(50,),
+            replicates=3,
+        )
+        calibrate(cfg)
+        # one source workspace per draw, one target workspace per (draw, setting)
+        assert len(workspaces) == 3 * (1 + 2 * 2)
+
+    def test_l_max_below_source_optimal_level(self):
+        cfg = ExperimentConfig(
+            kind="calibrate",
+            family="threshold_nn",
+            params={"rhos": [1.0, 2.0, 4.0], "coef_grid": [1.0]},
+            n_source_grid=(100,),
+            n_target_grid=(20,),
+            replicates=2,
+            selection=SelectionConfig(L_max=2),
+        )
+        with pytest.raises(ValueError, match="^level 3 outside the configured range$"):
+            calibrate(cfg)
 
     def test_deterministic(self):
         cfg = ExperimentConfig(

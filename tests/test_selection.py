@@ -24,14 +24,12 @@ from transel.selection import (
     BRANCH_SOURCE,
     BRANCH_TARGET,
     Fit,
+    LevelContext,
     SelectionConfig,
     algorithm1,
     algorithm2,
     complexity_term,
-    intersection_representative,
-    lepski_min_level,
     level_confidence,
-    minimal_set_contains,
     oracle_learner,
     target_only_srm,
 )
@@ -116,9 +114,10 @@ class TestMinimalSets:
         hierarchy = BoundaryClassHierarchy(max_level=3)
         cfg = SelectionConfig()
         sample = _labeled_by(BoundaryHypothesis((0.4,), 1), 200, seed=5, flip=0.1)
+        ctx = LevelContext(hierarchy, sample, cfg)
         for level in range(4):
             erm = hierarchy.erm(sample, level).hypothesis
-            assert minimal_set_contains(hierarchy, erm, sample, level, cfg)
+            assert ctx.is_member(erm, level)
 
     def test_bad_hypothesis_excluded_at_large_n(self):
         truth = BoundaryHypothesis((0.5,), 1)
@@ -126,7 +125,7 @@ class TestMinimalSets:
         cfg = SelectionConfig()
         sample = _labeled_by(truth, 5000, seed=1)
         wrong = BoundaryHypothesis((0.5,), -1)
-        assert not minimal_set_contains(hierarchy, wrong, sample, 2, cfg)
+        assert not LevelContext(hierarchy, sample, cfg).is_member(wrong, 2)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_pointwise_slack_test(self, seed):
@@ -137,6 +136,7 @@ class TestMinimalSets:
         ys = np.where(rng.random(14) < 0.2, -1, 1) * truth.evaluate_many(xs)
         sample = _sample(xs, ys)
         n = len(sample)
+        ctx = LevelContext(hierarchy, sample, cfg)
         for level in range(4):
             erm = hierarchy.erm(sample, level)
             a = complexity_term(n, level_confidence(cfg.delta, level, 0), hierarchy.vc_dim(level))
@@ -146,21 +146,22 @@ class TestMinimalSets:
                     h.evaluate_many(sample.xs) != erm.hypothesis.evaluate_many(sample.xs)
                 ))
                 want = gap <= cfg.C * math.sqrt(dis * a) + cfg.c * a
-                assert minimal_set_contains(hierarchy, h, sample, level, cfg) == want
+                assert ctx.is_member(h, level) == want
 
     def test_everything_is_member_of_empty_sample_set(self):
         hierarchy = BoundaryClassHierarchy(max_level=1)
         cfg = SelectionConfig()
         s = _sample([], [])
-        assert minimal_set_contains(hierarchy, BoundaryHypothesis((), -1), s, 1, cfg)
+        assert LevelContext(hierarchy, s, cfg).is_member(BoundaryHypothesis((), -1), 1)
 
     def test_level_out_of_range(self):
         hierarchy = BoundaryClassHierarchy(max_level=1)
-        with pytest.raises(ValueError):
-            minimal_set_contains(
-                hierarchy, BoundaryHypothesis((), 1), _sample([0.0], [1]), 2,
-                SelectionConfig(),
-            )
+        for sample in (_sample([0.0], [1]), _sample([], [])):
+            ctx = LevelContext(hierarchy, sample, SelectionConfig())
+            with pytest.raises(ValueError, match="level 2 outside the configured range"):
+                ctx.is_member(BoundaryHypothesis((), 1), 2)
+            with pytest.raises(ValueError, match="level 2 outside the configured range"):
+                ctx.intersection(2)
 
 
 class TestIntersectionScan:
@@ -168,7 +169,7 @@ class TestIntersectionScan:
         truth = BoundaryHypothesis((0.3, 0.7), 1)
         hierarchy = BoundaryClassHierarchy(max_level=4)
         sample = _labeled_by(truth, 3000, seed=2)
-        res = intersection_representative(hierarchy, sample, 2, SelectionConfig())
+        res = LevelContext(hierarchy, sample, SelectionConfig()).intersection(2)
         assert res.status == SEARCH_FOUND
         assert res.mistakes == 0
 
@@ -176,20 +177,20 @@ class TestIntersectionScan:
         truth = BoundaryHypothesis((0.3, 0.7), 1)
         hierarchy = BoundaryClassHierarchy(max_level=4)
         sample = _labeled_by(truth, 3000, seed=3)
-        level, h = lepski_min_level(hierarchy, sample, SelectionConfig())
+        level, h, _ = LevelContext(hierarchy, sample, SelectionConfig()).scan()
         assert level == 2
         assert np.array_equal(h.evaluate_many(sample.xs), sample.ys)
 
     def test_scan_on_constant_data_stops_at_floor(self):
         hierarchy = BoundaryClassHierarchy(max_level=3)
         sample = _labeled_by(BoundaryHypothesis((), -1), 500, seed=4)
-        level, h = lepski_min_level(hierarchy, sample, SelectionConfig())
+        level, h, _ = LevelContext(hierarchy, sample, SelectionConfig()).scan()
         assert level == 0
         assert h == BoundaryHypothesis((), -1)
 
     def test_empty_sample_returns_floor(self):
         hierarchy = BoundaryClassHierarchy(max_level=3)
-        level, h = lepski_min_level(hierarchy, _sample([], []), SelectionConfig())
+        level, h, _ = LevelContext(hierarchy, _sample([], []), SelectionConfig()).scan()
         assert level == 0
         assert h == BoundaryHypothesis((), 1)
 
@@ -197,15 +198,15 @@ class TestIntersectionScan:
     def test_tiny_budget_never_selects_lower(self, seed):
         hierarchy = BoundaryClassHierarchy(max_level=3)
         sample = _labeled_by(BoundaryHypothesis((0.4, 0.6), 1), 300, seed=seed, flip=0.05)
-        lo, _ = lepski_min_level(hierarchy, sample, SelectionConfig())
-        hi, _ = lepski_min_level(hierarchy, sample, SelectionConfig(budget=1))
+        lo, _, _ = LevelContext(hierarchy, sample, SelectionConfig()).scan()
+        hi, _, _ = LevelContext(hierarchy, sample, SelectionConfig(budget=1)).scan()
         assert hi >= lo
 
     def test_l_max_truncates(self):
         truth = BoundaryHypothesis((0.3, 0.7), 1)
         hierarchy = BoundaryClassHierarchy(max_level=4)
         sample = _labeled_by(truth, 1000, seed=8)
-        level, _ = lepski_min_level(hierarchy, sample, SelectionConfig(L_max=1))
+        level, _, _ = LevelContext(hierarchy, sample, SelectionConfig(L_max=1)).scan()
         assert level <= 1
 
 
@@ -297,9 +298,9 @@ class TestOracleAndBaseline:
         hierarchy = BoundaryClassHierarchy(max_level=3)
         target = _labeled_by(truth, 400, seed=60)
         cfg = SelectionConfig()
-        assert target_only_srm(Fit(hierarchy, None, target, None, cfg)) == lepski_min_level(
+        assert target_only_srm(Fit(hierarchy, None, target, None, cfg)) == LevelContext(
             hierarchy, target, cfg
-        )[1]
+        ).scan()[1]
 
 
 _SUPPORT = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -335,12 +336,9 @@ def _tabular_samples(seed: int):
 def _exhaustive_scan(hierarchy, sample, cfg):
     """The level scan from first principles: at each level, the level ERMs
     and then the whole class in increasing-mistake order, each checked by
-    ``minimal_set_contains`` at every level above."""
+    ``LevelContext.is_member`` at every level above."""
     top = hierarchy.max_level
-
-    @functools.cache
-    def member(h, j):
-        return minimal_set_contains(hierarchy, h, sample, j, cfg)
+    member = functools.cache(LevelContext(hierarchy, sample, cfg).is_member)
 
     for i in range(hierarchy.min_level, top + 1):
         erms = [hierarchy.erm(sample, j).hypothesis for j in range(i, top + 1)]
@@ -362,7 +360,7 @@ class TestTabularFallback:
         source, target, hold = _tabular_samples(seed)
         source_level, rep = _exhaustive_scan(hierarchy, source, cfg)
         target_level, target_h = _exhaustive_scan(hierarchy, target, cfg)
-        assert lepski_min_level(hierarchy, source, cfg) == (source_level, rep)
+        assert LevelContext(hierarchy, source, cfg).scan()[:2] == (source_level, rep)
 
         chosen, trace = algorithm1(Fit(hierarchy, source, target, hold, cfg))
         assert (trace.source_level, trace.candidate) == (source_level, rep)
@@ -440,9 +438,9 @@ class TestSharedFit:
         expected = {
             "algorithm1": algorithm1(fresh()),
             "oracle": algorithm2(fresh(), candidate)[0],
-            "target_only": lepski_min_level(hierarchy, s_q, cfg)[1],
+            "target_only": LevelContext(hierarchy, s_q, cfg).scan()[1],
         }
-        assert expected["algorithm1"][1].source_level == lepski_min_level(hierarchy, s_p, cfg)[0]
+        assert expected["algorithm1"][1].source_level == LevelContext(hierarchy, s_p, cfg).scan()[0]
         learners = {
             "algorithm1": algorithm1,
             "oracle": lambda fit: oracle_learner(fit, level),
