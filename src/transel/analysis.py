@@ -41,8 +41,6 @@ __all__ = [
     "extended_gap_witness_grid",
     "global_optimal_risk",
     "level_risk_minimizer",
-    "profile_rows",
-    "profile_table",
     "rate_profile",
     "verify_bcc",
 ]
@@ -403,7 +401,6 @@ class RateProfile:
     n_source: int
     n_target: int
     delta: float
-    c0: float
     beta_target: float = field(default=math.nan)
 
     @property
@@ -424,7 +421,6 @@ def rate_profile(
     n_source: int,
     n_target: int,
     delta: float = 0.05,
-    c0: float = 1.0,
 ) -> RateProfile:
     """Evaluate both rate functionals at every level with known structure.
 
@@ -454,7 +450,7 @@ def rate_profile(
     delta_q = level_confidence(delta, i_q, hierarchy.min_level)
 
     if n_target >= 1:
-        target_conf = c0 * (d_q * math.log(n_target / delta_q) / n_target) ** (
+        target_conf = (d_q * math.log(n_target / delta_q) / n_target) ** (
             1.0 / (2.0 - beta_q)
         )
         target_plain = (d_q / n_target) ** (1.0 / (2.0 - beta_q))
@@ -470,7 +466,7 @@ def rate_profile(
         delta_i = level_confidence(delta, i, hierarchy.min_level)
         expo = 1.0 / ((2.0 - t.beta_p) * t.rho)
         if n_source >= 1:
-            src_conf = t.excess_q_of_source_opt + c0 * t.rho_const * (
+            src_conf = t.excess_q_of_source_opt + t.rho_const * (
                 d_i * math.log(n_source / delta_i) / n_source
             ) ** expo
             src_plain = t.rho_const * (d_i / n_source) ** expo + t.excess_q_of_source_opt
@@ -490,36 +486,6 @@ def rate_profile(
         n_source=n_source,
         n_target=n_target,
         delta=delta,
-        c0=c0,
         beta_target=beta_q,
     )
 
-
-def profile_rows(instance: TransferInstance, profile: RateProfile) -> list[dict]:
-    """One dict per level: structure constants next to both rate values."""
-    rows = []
-    for i in profile.levels:
-        t = instance.truth[i]
-        rows.append(
-            {
-                "level": i,
-                "vc_dim": instance.hierarchy.vc_dim(i),
-                "rho": t.rho,
-                "rho_const": t.rho_const,
-                "source_opt_target_excess": t.excess_q_of_source_opt,
-                "beta_source": t.beta_p,
-                "beta_target": t.beta_q,
-                "rate_conf": profile.rates_conf[i],
-                "rate_plain": profile.rates_plain[i],
-            }
-        )
-    return rows
-
-
-def profile_table(instance: TransferInstance, profile: RateProfile, sep: str = ",") -> str:
-    rows = profile_rows(instance, profile)
-    header = sep.join(rows[0].keys())
-    lines = [header]
-    for r in rows:
-        lines.append(sep.join(repr(v) if isinstance(v, float) else str(v) for v in r.values()))
-    return "\n".join(lines)

@@ -244,9 +244,6 @@ class PiecewiseDistribution:
     def bayes_risk(self) -> float:
         return sum(s.mass * _label_bayes(s.label_law) for s in self.segments)
 
-    def excess_risk(self, h: BoundaryHypothesis) -> float:
-        return self.expected_risk(h) - self.bayes_risk()
-
     def disagreement_mass(self, h1: BoundaryHypothesis, h2: BoundaryHypothesis) -> float:
         lo, hi = self.support
         cuts = sorted({lo, hi} | {b for b in h1.boundaries if lo < b < hi}
@@ -372,9 +369,6 @@ class DiscreteDistribution:
 
     def bayes_risk(self) -> float:
         return sum(m * min(q, 1.0 - q) for m, q in zip(self.masses, self.pos_probs))
-
-    def excess_risk(self, h) -> float:
-        return self.expected_risk(h) - self.bayes_risk()
 
     def disagreement_mass(self, h1, h2) -> float:
         s1 = self._point_labels(h1)

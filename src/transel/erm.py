@@ -88,10 +88,6 @@ class _DpWorkspace:
         self.ux = ux
         self.m = m
         self._aux_cache = {}
-        if m == 0:
-            self.cs = np.zeros((1, 2), dtype=np.int64)
-            self.tables = [self.cs] * (max_flips + 1)
-            return
         pos = np.bincount(inverse, weights=(ys == 1), minlength=m).astype(np.int64)
         neg = np.bincount(inverse, weights=(ys == -1), minlength=m).astype(np.int64)
         cost = np.stack([neg, pos], axis=1)
@@ -108,9 +104,6 @@ class _DpWorkspace:
                 nxt[:m, si] = cs[:m, si] + np.minimum(0, sufmin[1:])
             tables.append(nxt)
         self.tables = tables
-
-    def group_cost(self, g: int, si: int) -> int:
-        return int(self.cs[g, si] - self.cs[g + 1, si])
 
     def _mid(self, q: int) -> float:
         return (self.ux[q - 1] + self.ux[q]) / 2.0
@@ -170,9 +163,6 @@ class _DpWorkspace:
         return tuple(cuts)
 
     def canonical_erm(self, budgets: dict[int, int]) -> ErmResult:
-        if self.m == 0:
-            sign = 1 if 1 in budgets else -1
-            return ErmResult(BoundaryHypothesis((), sign), 0)
         best = self.best_mistakes(budgets)
         candidates = []
         for f, k in budgets.items():
@@ -200,13 +190,6 @@ class _DpWorkspace:
         full labeling or a lazy cursor over where the next flip goes, bounded
         exactly by the tables, so complete labelings still pop in canonical
         (mistakes, flips, boundary vector, sign) order."""
-        if self.m == 0:
-            order = sorted(budgets, key=_sign_index)
-            for sign in order:
-                h = BoundaryHypothesis((), sign)
-                if predicate(h, 0):
-                    return SearchResult(SEARCH_FOUND, h, 0, 0)
-            return SearchResult(SEARCH_EMPTY, None, None, 0)
         heap = []
         counter = 0
         m = self.m
@@ -274,7 +257,10 @@ class _DpWorkspace:
 
 
 class _NestedBoundaryHierarchy:
-    """Shared machinery for hierarchies indexed by a sign-change budget."""
+    """Shared machinery for hierarchies indexed by a sign-change budget.
+
+    Subclasses define ``_floor_level``, ``flip_budgets`` and ``vc_dim``.
+    """
 
     def __init__(self, max_level: int, min_level: int):
         if min_level < self._floor_level():
@@ -283,15 +269,6 @@ class _NestedBoundaryHierarchy:
             raise ValueError("need max_level >= min_level")
         self.min_level = min_level
         self.max_level = max_level
-
-    def _floor_level(self) -> int:
-        raise NotImplementedError
-
-    def flip_budgets(self, level: int) -> dict[int, int]:
-        raise NotImplementedError
-
-    def vc_dim(self, level: int) -> int:
-        raise NotImplementedError
 
     def _check_level(self, level: int):
         if not self.min_level <= level <= self.max_level:

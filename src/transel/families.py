@@ -161,18 +161,16 @@ def _validate_rhos(rhos):
     return rhos
 
 
-def build_threshold_nn(rhos, L: int | None = None) -> TransferInstance:
+def build_threshold_nn(rhos) -> TransferInstance:
     """Nested boundary classes where the target is uniform with alternating
     cells and the source concentrates around each cell boundary.
 
     Level i transfers with exponent rhos[i-1]; the best source hypothesis at
     level i mislabels a known fraction of target cells, giving a staircase of
-    target excess risks that is exactly ceil((L-i)/2)/(L+1).
+    target excess risks that is exactly ceil((L-i)/2)/(L+1) for L = len(rhos).
     """
     rhos = _validate_rhos(rhos)
     levels = len(rhos)
-    if L is not None and int(L) != levels:
-        raise ValueError("L must equal the number of exponents")
     source, anchors, z = _staircase_source(rhos)
     target = _alternating_uniform(anchors)
     truth = {}

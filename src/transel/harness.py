@@ -153,20 +153,7 @@ class ExperimentConfig:
         )
 
 
-_CONFIG_KEYS = frozenset(
-    {
-        "kind",
-        "family",
-        "params",
-        "n_source_grid",
-        "n_target_grid",
-        "replicates",
-        "base_seed",
-        "selection",
-        "learners",
-        "out_dir",
-    }
-)
+_CONFIG_KEYS = frozenset(ExperimentConfig.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
@@ -537,8 +524,7 @@ def _verify_common(inst, entries, sigma: str):
 
 
 def _verify_threshold_nn(cfg: ExperimentConfig, entries: list):
-    (rhos,) = _family_params("threshold_nn", cfg.params, "rhos")
-    inst = families.build_threshold_nn(tuple(rhos))
+    (inst,) = build_family("threshold_nn", cfg.params, 1, 1)
     levels = sorted(inst.truth)
     L = max(levels)
     cuts = inst.params["anchors"]
@@ -572,7 +558,7 @@ def _verify_threshold_nn(cfg: ExperimentConfig, entries: list):
 
 
 def _verify_shifted(cfg: ExperimentConfig, entries: list):
-    inst = families.build_shifted_target(tuple(cfg.params.get("rhos", (1.0, 1.0, 2.0))))
+    (inst,) = build_family("shifted_target", cfg.params, 1, 1)
     _verify_common(inst, entries, "")
     excs = [
         analysis.excess_risk(inst, "Q", analysis.level_risk_minimizer(inst, "P", i))

@@ -76,7 +76,6 @@ class SelectionConfig:
     delta: float = 0.05
     L_max: int | None = None
     budget: int = 1_000_000
-    level_weights: str = "split-harmonic"
 
     def __post_init__(self):
         if self.C <= 0 or self.c <= 0:
@@ -85,13 +84,10 @@ class SelectionConfig:
             raise ValueError("delta must be in (0, 1)")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.level_weights != "split-harmonic":
-            raise ValueError(f"unknown level_weights rule {self.level_weights!r}")
 
     def to_dict(self) -> dict:
         return {"C": self.C, "c": self.c, "delta": self.delta,
-                "L_max": self.L_max, "budget": self.budget,
-                "level_weights": self.level_weights}
+                "L_max": self.L_max, "budget": self.budget}
 
     @staticmethod
     def from_dict(d: dict) -> "SelectionConfig":
@@ -222,34 +218,38 @@ class LevelContext:
         return True
 
     def mistake_cap(self, from_level: int) -> int:
-        cap = min(
-            self.erms[j].mistakes + self.n * self.slack(j, 1.0)
-            for j in range(from_level, self.top + 1)
-        )
+        """Most mistakes a member of every minimal set from from_level up can make.
+
+        Per level j there are two bounds.  Disagreement is at most 1, so
+        m_h <= m_j + n*slack(j, 1).  And h and the level ERM can disagree
+        only on sample points where one of them errs, so n*dis <= m_h + m_j;
+        membership then makes sqrt(m_h + m_j) at most the root s of
+        s**2 - C*sqrt(nA)*s - (2*m_j + c*nA), i.e. m_h <= s**2 - m_j.
+        """
+        big_c, small_c = self.cfg.C, self.cfg.c
+        cap = math.inf
+        for j in range(from_level, self.top + 1):
+            m_j, na = self.erms[j].mistakes, self.n * self.comp[j]
+            s = (big_c * math.sqrt(na)
+                 + math.sqrt(big_c * big_c * na + 4.0 * (2 * m_j + small_c * na))) / 2.0
+            cap = min(cap, m_j + self.n * self.slack(j, 1.0), s * s - m_j)
         return int(math.floor(cap + 1e-9))
 
     def intersection(self, from_level: int) -> SearchResult:
         """A member of every minimal set at levels from_level..top, if one exists.
 
-        Search order: level ERMs first, then all of the class at from_level in
-        increasing-mistake order under a branch-and-bound cap.  Status is
+        Search order: the level ERM first, then all of the class at from_level
+        in increasing-mistake order, pruned above ``mistake_cap``.  Status is
         ``inconclusive`` when the budget runs out before a verdict.
         """
         erm = self.erm(from_level)
         if self.n == 0:
             return SearchResult(SEARCH_FOUND, erm.hypothesis, 0, 0)
-        # fast path: level ERMs that fit in the class at from_level
-        tried = []
-        for j in range(from_level, self.top + 1):
-            h = self.erms[j].hypothesis
-            if any(h == t for t in tried):
-                continue
-            tried.append(h)
-            if not self.hierarchy.contains(h, from_level):
-                continue
-            m = self.erms[j].mistakes if j == from_level else mistake_count(h, self.sample)
-            if self.in_all_sets(h, m, from_level):
-                return SearchResult(SEARCH_FOUND, h, m, len(tried))
+        # Fast path: the level ERM.  A higher level's ERM that lies in this
+        # class is this level's ERM (nested classes, one canonical order), so
+        # no other level ERM can pass where this one fails.
+        if self.in_all_sets(erm.hypothesis, erm.mistakes, from_level):
+            return SearchResult(SEARCH_FOUND, erm.hypothesis, erm.mistakes, 1)
         return self.hierarchy.search_min_mistakes(
             self.sample,
             from_level,

@@ -15,8 +15,6 @@ from transel.analysis import (
     extended_gap_witness_grid,
     global_optimal_risk,
     level_risk_minimizer,
-    profile_rows,
-    profile_table,
     rate_profile,
     verify_bcc,
 )
@@ -326,15 +324,3 @@ class TestRateProfile:
     def test_delta_validation(self, staircase):
         with pytest.raises(ValueError):
             rate_profile(staircase, 100, 10, delta=1.0)
-
-    def test_profile_rows_and_table(self, staircase):
-        prof = rate_profile(staircase, 1000, 50)
-        rows = profile_rows(staircase, prof)
-        assert [r["level"] for r in rows] == [1, 2, 3]
-        assert set(rows[0]) >= {"level", "vc_dim", "rho", "rate_conf", "rate_plain"}
-        text = profile_table(staircase, prof)
-        lines = text.strip().splitlines()
-        assert len(lines) == 4
-        header = lines[0].split(",")
-        first = dict(zip(header, lines[1].split(",")))
-        assert float(first["rate_conf"]) == prof.rates_conf[1]

@@ -159,7 +159,7 @@ class TestPiecewiseRisk:
     def test_excess_risk_nonnegative_for_best(self):
         dist = _two_segment_dist()
         best = BoundaryHypothesis((), 1)
-        assert dist.excess_risk(best) == pytest.approx(0.0, abs=1e-15)
+        assert dist.expected_risk(best) - dist.bayes_risk() == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize(
         "h",

@@ -116,8 +116,6 @@ class TestThresholdNn:
             build_threshold_nn((2.0, 1.0))
         with pytest.raises(ValueError):
             build_threshold_nn((0.5,))
-        with pytest.raises(ValueError):
-            build_threshold_nn((1.0, 2.0), L=3)
 
 
 class TestShiftedTarget:

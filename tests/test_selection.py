@@ -11,11 +11,13 @@ from hypothesis import example, given, settings
 
 from transel.classifiers import BoundaryHypothesis, TabularHypothesis
 from transel.distributions import LabeledSample
-from transel.families import build_gap_family, build_threshold_nn
+from transel.families import build_gap_family, build_threshold_nn, build_two_point_family
 from transel.erm import (
+    SEARCH_EMPTY,
     SEARCH_FOUND,
     BoundaryClassHierarchy,
     FiniteClassHierarchy,
+    OneSidedThresholdHierarchy,
     empirical_risk,
     hypothesis_sort_key,
     mistake_count,
@@ -101,7 +103,6 @@ class TestSelectionConfig:
             {"c": -1.0},
             {"delta": 1.0},
             {"budget": 0},
-            {"level_weights": "uniform"},
         ],
     )
     def test_validation(self, kwargs):
@@ -208,6 +209,96 @@ class TestIntersectionScan:
         sample = _labeled_by(truth, 1000, seed=8)
         level, _, _ = LevelContext(hierarchy, sample, SelectionConfig(L_max=1)).scan()
         assert level <= 1
+
+
+_BOUNDARY_HIERARCHIES = (BoundaryClassHierarchy(max_level=3), OneSidedThresholdHierarchy(max_level=3))
+
+
+def _coarse_sample(rng, n: int) -> LabeledSample:
+    """n points on a 0.1 grid, so that some coincide, with fair-coin labels."""
+    return _sample(np.round(rng.random(n), 1), np.where(rng.random(n) < 0.5, 1, -1))
+
+
+class TestIntersectionSearch:
+    """``LevelContext.intersection`` and ``mistake_cap`` against exhaustive
+    ``is_member`` checks, at slacks small enough that many intersections are
+    empty."""
+
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        n=st.integers(1, 12),
+        which=st.integers(0, 1),
+        coef=st.sampled_from([0.25, 0.05]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_exhaustive_scan(self, seed, n, which, coef):
+        hierarchy = _BOUNDARY_HIERARCHIES[which]
+        ctx = LevelContext(hierarchy, _coarse_sample(np.random.default_rng(seed), n),
+                           SelectionConfig(C=coef, c=coef))
+        member = functools.cache(ctx.is_member)
+        for i in range(hierarchy.min_level, ctx.top + 1):
+            ranked = sorted(
+                hierarchy.enumerate_on(np.unique(ctx.sample.xs), i),
+                key=lambda h: (mistake_count(h, ctx.sample), hypothesis_sort_key(h)),
+            )
+            members = [h for h in ranked if all(member(h, j) for j in range(i, ctx.top + 1))]
+            res = ctx.intersection(i)
+            assert res.status == (SEARCH_FOUND if members else SEARCH_EMPTY)
+            assert res.hypothesis == (members[0] if members else None)
+            cap = ctx.mistake_cap(i)
+            loose = min(ctx.erm(j).mistakes + n * ctx.slack(j, 1.0) for j in range(i, ctx.top + 1))
+            assert cap <= math.floor(loose + 1e-9)
+            assert all(mistake_count(h, ctx.sample) <= cap for h in members)
+
+    def test_cap_keeps_a_member_at_equality(self):
+        # ERM: the threshold at 7.5 with one mistake.  The constant +1 errs on
+        # 1..7 and disagrees with it on 0..7, so with A = 1/8 its gap 6/16
+        # equals the slack sqrt(8/16 * A) + A exactly, and s**2 - m_1 = 7
+        # evaluates to 6.999999999999998.
+        xs = np.arange(16.0)
+        ys = np.where(xs < 8, -1, 1)
+        ys[0] = 1
+        hierarchy = OneSidedThresholdHierarchy(max_level=1)
+        ctx = LevelContext(hierarchy, _sample(xs, ys), SelectionConfig())
+        ctx.comp[1] = 0.125
+        const = BoundaryHypothesis((), 1)
+        assert ctx.erm(1) == hierarchy.erm(ctx.sample, 1)
+        assert ctx.erm(1).mistakes == 1
+        assert mistake_count(const, ctx.sample) == 7 and ctx.is_member(const, 1)
+        assert ctx.mistake_cap(1) == 7
+
+        def search(mistakes):
+            return hierarchy.search_min_mistakes(
+                ctx.sample, 1, lambda h, m: m == mistakes and ctx.in_all_sets(h, m, 1),
+                mistake_cap=ctx.mistake_cap(1), workspace=ctx.workspace,
+            )
+
+        assert search(7).hypothesis == const
+        assert search(8).status == SEARCH_EMPTY
+
+
+@functools.cache
+def _erm_invariant_hierarchies():
+    """Both boundary hierarchies, the gap family's and the two-point family's classes."""
+    gap = build_gap_family(2.0, 1.0, 1000, 10, enforce_regime=False)[0]
+    two_point = build_two_point_family(0.01, 10)[0]
+    return (*((h, None) for h in _BOUNDARY_HIERARCHIES),
+            (gap.hierarchy, gap.source), (two_point.hierarchy, two_point.target))
+
+
+@given(index=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60))
+@settings(max_examples=80, deadline=None)
+def test_contained_higher_erm_is_the_level_erm(index, seed, n):
+    """Why ``intersection`` tries only the level ERM before searching: a
+    higher level's ERM that lies in a lower class is that class's ERM."""
+    hierarchy, dist = _erm_invariant_hierarchies()[index]
+    rng = np.random.default_rng(seed)
+    sample = _coarse_sample(rng, n) if dist is None else dist.sample(n, rng)
+    ctx = LevelContext(hierarchy, sample, SelectionConfig())
+    for i in range(hierarchy.min_level, ctx.top + 1):
+        for j in range(i + 1, ctx.top + 1):
+            if hierarchy.contains(ctx.erm(j).hypothesis, i):
+                assert ctx.erm(j).hypothesis == ctx.erm(i).hypothesis
 
 
 class TestHoldoutArbitration:
