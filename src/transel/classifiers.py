@@ -64,25 +64,27 @@ class BoundaryHypothesis:
         crossings = int(np.searchsorted(np.asarray(self.boundaries), x, side="right"))
         return self.first_sign if crossings % 2 == 0 else -self.first_sign
 
-    def cut_indices(self, sorted_xs: np.ndarray) -> tuple[int, ...]:
-        """Ends of the constant runs of labels on ascending ``sorted_xs``.
+    def runs(self, sorted_xs: np.ndarray) -> tuple[tuple[int, ...], int]:
+        """How h labels ascending ``sorted_xs``: ``(cuts, first_label)``.
 
-        Point i carries ``first_sign`` flipped once per cut <= i.  A point on
-        a boundary stays in the run to its left, hence ``side="right"``.
+        Point i carries ``first_label`` flipped once per cut <= i.  Each
+        boundary makes one cut, O(log n); a point on a boundary stays in the
+        run to its left, hence ``side="right"``.
         """
-        return tuple(np.searchsorted(sorted_xs, self.boundaries, side="right").tolist())
+        cuts = np.searchsorted(sorted_xs, self.boundaries, side="right")
+        return tuple(cuts.tolist()), self.first_sign
 
 
-def disagreement_count(cuts_a, sign_a: int, cuts_b, sign_b: int, n: int) -> int:
-    """Points of a sorted n-point sample on which two boundary classifiers differ.
+def disagreement_count(runs_a, runs_b, n: int) -> int:
+    """Points of a sorted n-point sample on which two labelings differ.
 
-    ``cuts_a``/``cuts_b`` are the classifiers' ``cut_indices`` on that sample
-    and ``sign_a``/``sign_b`` their first signs.  Every cut of either side
-    toggles agreement, so the merged cuts split the sample into runs that
-    alternate between agreeing and disagreeing.  Costs O((k + k') log(k + k'))
-    for k and k' boundaries, independent of n.
+    ``runs_a``/``runs_b`` are the two hypotheses' ``runs`` on that sample.
+    Every cut of either side toggles agreement, so the merged cuts split the
+    sample into runs that alternate between agreeing and disagreeing.  Costs
+    O((k + k') log(k + k')) for k and k' cuts, independent of n.
     """
-    total, start, differ = 0, 0, sign_a != sign_b
+    (cuts_a, label_a), (cuts_b, label_b) = runs_a, runs_b
+    total, start, differ = 0, 0, label_a != label_b
     for cut in sorted(cuts_a + cuts_b):
         if differ:
             total += cut - start
@@ -115,6 +117,13 @@ class TabularHypothesis:
 
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
         return np.asarray([self.evaluate(x) for x in np.asarray(xs, dtype=float)], dtype=np.int8)
+
+    def runs(self, sorted_xs: np.ndarray) -> tuple[tuple[int, ...], int]:
+        """``(cuts, first_label)`` on ascending ``sorted_xs``, as for boundary
+        classifiers: one O(n) lookup pass, then a cut wherever the label changes."""
+        labels = self.evaluate_many(sorted_xs)
+        cuts = np.nonzero(labels[1:] != labels[:-1])[0] + 1
+        return tuple(cuts.tolist()), int(labels[0]) if labels.size else 1
 
 
 def enumerate_hypotheses(points, max_changes: int):

@@ -11,6 +11,7 @@ reproducible across label-law changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -162,9 +163,9 @@ class Segment:
 class LabeledSample:
     """Point sample with labels, stored sorted by (x, y) for canonical order.
 
-    Sorted ``xs`` is an invariant that correctness relies on: selection counts
-    the disagreements of boundary classifiers from the index runs their
-    boundaries cut out of ``xs`` (``BoundaryHypothesis.cut_indices``).
+    Sorted ``xs`` is an invariant that correctness relies on: a hypothesis
+    is read on the sample only through its ``runs(xs)``, and every mistake
+    and disagreement count is made from those runs.
     """
 
     xs: np.ndarray
@@ -183,6 +184,26 @@ class LabeledSample:
 
     def __len__(self) -> int:
         return int(self.xs.shape[0])
+
+    @cached_property
+    def _positives_before(self) -> np.ndarray:
+        """Entry i counts the +1 labels among the first i points."""
+        return np.concatenate(([0], np.cumsum(self.ys == 1)))
+
+    def mistakes(self, runs) -> int:
+        """Points mislabeled by the hypothesis whose ``runs(xs)`` is ``runs``.
+
+        Each run's mistakes are its points of the other label, read off the
+        prefix count of +1 labels, so this costs O(k) for k cuts.
+        """
+        cuts, label = runs
+        positives = self._positives_before
+        total, start = 0, 0
+        for end in (*cuts, len(self)):
+            plus = positives.item(end) - positives.item(start)
+            total += plus if label == -1 else end - start - plus
+            start, label = end, -label
+        return total
 
 
 class PiecewiseDistribution:

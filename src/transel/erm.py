@@ -32,15 +32,7 @@ SEARCH_INCONCLUSIVE = "inconclusive"
 
 
 def mistake_count(h, sample: LabeledSample) -> int:
-    if len(sample) == 0:
-        return 0
-    return int(np.sum(h.evaluate_many(sample.xs) != sample.ys))
-
-
-def empirical_risk(h, sample: LabeledSample) -> float:
-    if len(sample) == 0:
-        return 0.0
-    return mistake_count(h, sample) / len(sample)
+    return sample.mistakes(h.runs(sample.xs))
 
 
 def hypothesis_sort_key(h):

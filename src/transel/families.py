@@ -31,6 +31,7 @@ from .erm import (
     FiniteClassHierarchy,
     OneSidedThresholdHierarchy,
 )
+from .selection import _is_number
 
 GAP_SCALE = 32.0
 
@@ -153,6 +154,8 @@ def _staircase_source(rhos):
 
 
 def _validate_rhos(rhos):
+    if not isinstance(rhos, (list, tuple)) or not all(_is_number(r) for r in rhos):
+        raise ValueError("rhos must be a list of numbers")
     rhos = tuple(float(r) for r in rhos)
     if not rhos:
         raise ValueError("need at least one level exponent")

@@ -29,6 +29,8 @@ from .selection import (
     Fit,
     LevelContext,
     SelectionConfig,
+    _is_int,
+    _is_number,
     algorithm1,
     algorithm2,
     oracle_learner,
@@ -107,15 +109,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        if not _is_int(self.replicates) or self.replicates < 1:
+            raise ValueError("replicates must be an integer >= 1")
         if not self.n_source_grid or not self.n_target_grid:
             raise ValueError("sample-size schedules must be nonempty")
-        if any(n < 0 for n in self.n_source_grid + self.n_target_grid):
-            raise ValueError("sample sizes must be nonnegative")
+        if not all(_is_int(n) and n >= 0 for n in self.n_source_grid + self.n_target_grid):
+            raise ValueError("sample sizes must be nonnegative integers")
         unknown = set(self.learners) - set(LEARNERS)
         if unknown:
-            raise ValueError(f"unknown learners {sorted(unknown)}")
+            raise ValueError(f"unknown learners {sorted(unknown, key=repr)}")
 
     def to_dict(self) -> dict:
         return {
@@ -139,6 +141,12 @@ class ExperimentConfig:
         missing = [k for k in ("kind", "family") if k not in d]
         if missing:
             raise ValueError(f"config is missing keys: {', '.join(missing)}")
+        for key in ("params", "selection"):
+            if not isinstance(d.get(key, {}), dict):
+                raise ValueError(f"{key} must be an object")
+        for key in ("n_source_grid", "n_target_grid", "learners"):
+            if not isinstance(d.get(key, ()), (list, tuple)):
+                raise ValueError(f"{key} must be a list")
         return cls(
             kind=d["kind"],
             family=d["family"],
@@ -200,9 +208,9 @@ def build_family(family: str, params: dict, n_source: int, n_target: int):
     """Instantiate a benchmark family; always returns a list of instances."""
     if family == "threshold_nn":
         (rhos,) = _family_params(family, params, "rhos")
-        return [families.build_threshold_nn(tuple(rhos))]
+        return [families.build_threshold_nn(rhos)]
     if family == "shifted_target":
-        return [families.build_shifted_target(tuple(params.get("rhos", (1.0, 1.0, 2.0))))]
+        return [families.build_shifted_target(params.get("rhos", (1.0, 1.0, 2.0)))]
     if family == "gap":
         rho_a, rho_b = _family_params(family, params, "rho_a", "rho_b")
         return families.build_gap_family(
@@ -262,11 +270,6 @@ def _checked_excess(instance, h) -> float:
     return max(e, 0.0)
 
 
-def _oracle_level(instance, n_source: int, n_target: int, delta: float) -> int:
-    prof = analysis.rate_profile(instance, n_source, n_target, delta=delta)
-    return prof.i_best_plain
-
-
 def _run_learner(learner, fit: Fit, oracle_level: int):
     """One learner on a replicate's shared ``Fit``.  The wall time includes
     whatever shared work this learner is the first to need."""
@@ -286,40 +289,41 @@ def _run_learner(learner, fit: Fit, oracle_level: int):
     return h, level, branch, wall
 
 
-def run_replicates(cfg: ExperimentConfig, instances_by_grid=None) -> list[RunRecord]:
+def run_replicates(cfg: ExperimentConfig, cells=None) -> list[RunRecord]:
     """Run every configured learner over the full (σ, n_P, n_Q, replicate) grid.
 
-    ``instances_by_grid`` optionally maps (n_source, n_target) to prebuilt
-    instance lists, letting callers run hand-made instances through the same
-    machinery.  Record order is (σ, n_P, n_Q, replicate, learner).
+    ``cells`` optionally passes in ``_cells(cfg)`` when the caller needs the
+    instances or their rate profiles too.  Record order is
+    (σ, n_P, n_Q, replicate, learner).
     """
-    return [rec for *_, recs in _replicates(cfg, instances_by_grid) for rec in recs]
+    return [rec for *_, recs in _replicates(cfg, cells) for rec in recs]
 
 
-def _instance_grids(cfg: ExperimentConfig) -> dict[tuple[int, int], list]:
-    """The family's instances for every (n_source, n_target) cell of the grid."""
+def _cells(cfg: ExperimentConfig) -> dict[tuple[int, int], list]:
+    """Every (n_source, n_target) cell of the grid: the family's instances,
+    each paired with its rate profile at that cell, built once."""
+    delta = cfg.selection.delta
     return {
-        (n_p, n_q): build_family(cfg.family, cfg.params, n_p, n_q)
+        (n_p, n_q): [
+            (inst, analysis.rate_profile(inst, n_p, n_q, delta=delta))
+            for inst in build_family(cfg.family, cfg.params, n_p, n_q)
+        ]
         for n_p in cfg.n_source_grid
         for n_q in cfg.n_target_grid
     }
 
 
-def _replicates(cfg: ExperimentConfig, instances_by_grid=None):
+def _replicates(cfg: ExperimentConfig, cells=None):
     """Fit the configured learners replicate by replicate, in record order.
 
     Yields ``(instance, s_p, s_q, records)`` once per replicate: its source
     and target samples and one record per learner, all fitted on one shared
-    ``Fit``.  Nothing of a replicate is kept once the caller moves on.
+    ``Fit``.  The oracle's level is the best plain-rate level of the cell's
+    rate profile.  Nothing of a replicate is kept once the caller moves on.
     """
-    if instances_by_grid is None:
-        instances_by_grid = _instance_grids(cfg)
-    grids = {
-        (n_p, n_q): list(instances_by_grid[(n_p, n_q)])
-        for n_p in cfg.n_source_grid
-        for n_q in cfg.n_target_grid
-    }
-    counts = {len(v) for v in grids.values()}
+    if cells is None:
+        cells = _cells(cfg)
+    counts = {len(v) for v in cells.values()}
     if len(counts) != 1:
         raise ValueError("instance count must not vary across the sample grid")
     n_instances = counts.pop()
@@ -327,19 +331,14 @@ def _replicates(cfg: ExperimentConfig, instances_by_grid=None):
     for idx in range(n_instances):
         for n_p in cfg.n_source_grid:
             for n_q in cfg.n_target_grid:
-                instance = grids[(n_p, n_q)][idx]
+                instance, profile = cells[(n_p, n_q)][idx]
                 tag = _sigma_tag(instance)
-                oracle_level = (
-                    _oracle_level(instance, n_p, n_q, cfg.selection.delta)
-                    if "oracle" in cfg.learners
-                    else instance.hierarchy.max_level
-                )
                 for r in range(cfg.replicates):
                     s_p, s_q, s_hold = _draw(instance, n_p, n_q, cfg.base_seed, tag, r)
                     fit = Fit(instance.hierarchy, s_p, s_q, s_hold, cfg.selection)
                     records = []
                     for learner in cfg.learners:
-                        h, level, branch, wall = _run_learner(learner, fit, oracle_level)
+                        h, level, branch, wall = _run_learner(learner, fit, profile.i_best_plain)
                         records.append(
                             RunRecord(
                                 replicate=r,
@@ -383,12 +382,11 @@ def _summarize_records(records) -> dict:
     return cells
 
 
-def _rate_curve_summary(cfg: ExperimentConfig, grids, records) -> dict:
+def _rate_curve_summary(cfg: ExperimentConfig, cells, records) -> dict:
     profiles = {}
     for n_p in cfg.n_source_grid:
         for n_q in cfg.n_target_grid:
-            inst = grids[(n_p, n_q)][0]
-            prof = analysis.rate_profile(inst, n_p, n_q, delta=cfg.selection.delta)
+            _, prof = cells[(n_p, n_q)][0]
             profiles[f"{n_p}|{n_q}"] = {
                 "rates_conf": {str(i): prof.rates_conf[i] for i in prof.levels},
                 "rates_plain": {str(i): prof.rates_plain[i] for i in prof.levels},
@@ -433,11 +431,12 @@ def gap_demo(cfg: ExperimentConfig):
         raise ValueError("gap_demo needs the gap or extended_gap family")
     n_p = cfg.n_source_grid[0]
     n_q = cfg.n_target_grid[0]
-    instances = build_family(cfg.family, cfg.params, n_p, n_q)
+    one_cell = replace(cfg, n_source_grid=(n_p,), n_target_grid=(n_q,))
+    cells = _cells(one_cell)
+    instances = [inst for inst, _ in cells[(n_p, n_q)]]
     records = []
     flags = {_sigma_tag(inst): [] for inst in instances}
-    one_cell = replace(cfg, n_source_grid=(n_p,), n_target_grid=(n_q,))
-    for inst, s_p, s_q, recs in _replicates(one_cell, {(n_p, n_q): instances}):
+    for inst, s_p, s_q, recs in _replicates(one_cell, cells):
         records += recs
         flags[_sigma_tag(inst)].append(_event_b(s_p, s_q))
     rho_a, rho_b = cfg.params["rho_a"], cfg.params["rho_b"]
@@ -475,10 +474,7 @@ def gap_demo(cfg: ExperimentConfig):
         event_pass[tag] = bool(abs(freq - analytic) <= sigma3)
 
     # The worst σ's best plain rate.
-    min_plain = max(
-        min(analysis.rate_profile(inst, n_p, n_q, delta=cfg.selection.delta).rates_plain.values())
-        for inst in instances
-    )
+    min_plain = max(min(prof.rates_plain.values()) for _, prof in cells[(n_p, n_q)])
     summary = {
         "kind": "gap_demo",
         "n_source": n_p,
@@ -762,6 +758,8 @@ def calibrate(cfg: ExperimentConfig) -> dict:
     bootstrap interval on κ.
     """
     grid = cfg.params.get("coef_grid", (0.5, 1.0, 2.0))
+    if not isinstance(grid, (list, tuple)) or not all(_is_number(v) for v in grid):
+        raise ValueError("coef_grid must be a list of numbers")
     n_p = cfg.n_source_grid[0]
     n_q = cfg.n_target_grid[0]
     instance = build_family(cfg.family, cfg.params, n_p, n_q)[0]
@@ -870,9 +868,9 @@ def run_experiment(cfg: ExperimentConfig):
     Writes nothing: ``write_outputs`` turns the pair into files.
     """
     if cfg.kind == "rate_curve":
-        grids = _instance_grids(cfg)
-        records = run_replicates(cfg, grids)
-        summary = _rate_curve_summary(cfg, grids, records)
+        cells = _cells(cfg)
+        records = run_replicates(cfg, cells)
+        summary = _rate_curve_summary(cfg, cells, records)
     elif cfg.kind == "gap_demo":
         records, summary = gap_demo(cfg)
     elif cfg.kind == "verify":

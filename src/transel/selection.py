@@ -20,17 +20,24 @@ empty (pushing the chosen level up, never down).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-import numpy as np
-
-from .classifiers import BoundaryHypothesis, disagreement_count
+from .classifiers import disagreement_count
 from .distributions import LabeledSample
-from .erm import SEARCH_FOUND, ErmResult, SearchResult, empirical_risk, mistake_count
+from .erm import SEARCH_FOUND, ErmResult, SearchResult
 
 BRANCH_SOURCE = "source-accepted"
 BRANCH_TARGET = "target-fallback"
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def complexity_term(n: int, delta: float, d: int) -> float:
@@ -78,6 +85,10 @@ class SelectionConfig:
     budget: int = 1_000_000
 
     def __post_init__(self):
+        if not all(_is_number(v) for v in (self.C, self.c, self.delta)):
+            raise ValueError("C, c and delta must be numbers")
+        if not _is_int(self.budget) or not (self.L_max is None or _is_int(self.L_max)):
+            raise ValueError("budget and L_max must be integers")
         if self.C <= 0 or self.c <= 0:
             raise ValueError("C and c must be positive")
         if not 0.0 < self.delta < 1.0:
@@ -115,26 +126,6 @@ class SelectionTrace:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _labeling(h, sample: LabeledSample):
-    """How h labels the sorted sample: its run cuts if it is a boundary
-    classifier (O(k log n)), else its label array (O(n))."""
-    if isinstance(h, BoundaryHypothesis):
-        return h.cut_indices(sample.xs)
-    return h.evaluate_many(sample.xs)
-
-
-def _disagreement(h, h_labeling, g, g_labeling, sample: LabeledSample) -> float:
-    """Share of the nonempty sample where h and g differ, from their ``_labeling``."""
-    if isinstance(h_labeling, tuple) and isinstance(g_labeling, tuple):
-        n = len(sample)
-        return disagreement_count(h_labeling, h.first_sign, g_labeling, g.first_sign, n) / n
-    if isinstance(h_labeling, tuple):
-        h_labeling = h.evaluate_many(sample.xs)
-    if isinstance(g_labeling, tuple):
-        g_labeling = g.evaluate_many(sample.xs)
-    return float(np.mean(h_labeling != g_labeling))
-
-
 def _top_level(hierarchy, cfg: SelectionConfig) -> int:
     top = hierarchy.max_level if cfg.L_max is None else min(cfg.L_max, hierarchy.max_level)
     if top < hierarchy.min_level:
@@ -146,10 +137,11 @@ class LevelContext:
     """One sample's minimal sets, their intersections and its level scan.
 
     Builds, once, the DP workspace, the ERM of every level from the floor to
-    the configured top, and each level's complexity term; how each level ERM
-    labels the sample is cached on first use.  ``is_member``,
-    ``intersection`` and ``scan`` all read these, so any number of questions
-    about one sample share one workspace.
+    the configured top, each level ERM's ``runs`` on the sample and each
+    level's complexity term.  ``is_member``, ``intersection`` and ``scan``
+    all read these, so any number of questions about one sample share one
+    workspace.  A hypothesis is read on the sample only through its runs:
+    its mistakes and its disagreement with a level ERM both count from them.
     """
 
     def __init__(self, hierarchy, sample: LabeledSample, cfg: SelectionConfig):
@@ -160,10 +152,11 @@ class LevelContext:
         self.top = _top_level(hierarchy, cfg)
         self.workspace = hierarchy.make_workspace(sample)
         self.erms = {}
+        self.erm_runs = {}
         self.comp = {}
-        self._erm_labelings = {}
         for j in range(hierarchy.min_level, self.top + 1):
             self.erms[j] = hierarchy.erm(sample, j, workspace=self.workspace)
+            self.erm_runs[j] = self.erms[j].hypothesis.runs(sample.xs)
             if self.n >= 1:
                 self.comp[j] = complexity_term(
                     self.n,
@@ -181,15 +174,10 @@ class LevelContext:
         a = self.comp[level]
         return self.cfg.C * math.sqrt(disagreement * a) + self.cfg.c * a
 
-    def disagreement(self, h, labeling, level: int) -> float:
-        """Share of the sample where h and the level ERM differ.
-
-        ``labeling`` is ``_labeling(h, sample)``, made once by the caller.
-        """
-        erm = self.erms[level].hypothesis
-        if level not in self._erm_labelings:
-            self._erm_labelings[level] = _labeling(erm, self.sample)
-        return _disagreement(h, labeling, erm, self._erm_labelings[level], self.sample)
+    def disagreement(self, runs, level: int) -> float:
+        """Share of the nonempty sample where the hypothesis with ``runs``
+        and the level ERM differ."""
+        return disagreement_count(runs, self.erm_runs[level], self.n) / self.n
 
     def is_member(self, h, level: int) -> bool:
         """Membership in the level's empirical minimal set.
@@ -201,19 +189,19 @@ class LevelContext:
         erm = self.erm(level)
         if self.n == 0:
             return True
-        gap = (mistake_count(h, self.sample) - erm.mistakes) / self.n
-        dis = self.disagreement(h, _labeling(h, self.sample), level)
-        return gap <= self.slack(level, dis)
+        runs = h.runs(self.sample.xs)
+        gap = (self.sample.mistakes(runs) - erm.mistakes) / self.n
+        return gap <= self.slack(level, self.disagreement(runs, level))
 
     def in_all_sets(self, h, mistakes: int, from_level: int) -> bool:
-        labeling = None
+        runs = None
         for j in range(from_level, self.top + 1):
             gap = (mistakes - self.erms[j].mistakes) / self.n
             if gap <= self.cfg.c * self.comp[j]:
                 continue
-            if labeling is None:
-                labeling = _labeling(h, self.sample)
-            if gap > self.slack(j, self.disagreement(h, labeling, j)):
+            if runs is None:
+                runs = h.runs(self.sample.xs)
+            if gap > self.slack(j, self.disagreement(runs, j)):
                 return False
         return True
 
@@ -329,12 +317,9 @@ def algorithm2(fit: Fit, candidate):
         )
         return candidate, trace
     a = complexity_term(n_hold, cfg.delta, 1)
-    lhs = empirical_risk(candidate, holdout_sample) - empirical_risk(target_h, holdout_sample)
-    dis = _disagreement(
-        candidate, _labeling(candidate, holdout_sample),
-        target_h, _labeling(target_h, holdout_sample),
-        holdout_sample,
-    )
+    runs_c, runs_t = candidate.runs(holdout_sample.xs), target_h.runs(holdout_sample.xs)
+    lhs = holdout_sample.mistakes(runs_c) / n_hold - holdout_sample.mistakes(runs_t) / n_hold
+    dis = disagreement_count(runs_c, runs_t, n_hold) / n_hold
     rhs = math.sqrt(dis * a) + cfg.c * a
     accepted = lhs <= rhs
     trace = SelectionTrace(

@@ -18,6 +18,7 @@ from transel.classifiers import (
     enumerate_hypotheses,
     to_cpwl,
 )
+from transel.distributions import LabeledSample
 from transel.erm import BoundaryClassHierarchy
 
 
@@ -53,35 +54,59 @@ class TestBoundaryHypothesis:
 
 
 # a coarse grid makes repeated xs and points exactly on a boundary common
-_GRID = st.integers(0, 8).map(lambda i: i / 4.0)
+_GRID_POINTS = tuple(i / 4.0 for i in range(9))
+_GRID = st.sampled_from(_GRID_POINTS)
 _BOUNDARY_CLASSIFIERS = st.builds(
     lambda cuts, sign: BoundaryHypothesis(tuple(sorted(cuts)), sign),
     st.sets(_GRID, max_size=4),
     st.sampled_from([-1, 1]),
 )
+_TABULAR_CLASSIFIERS = st.builds(
+    lambda labels: TabularHypothesis(_GRID_POINTS, labels),
+    st.lists(st.sampled_from([-1, 1]), min_size=len(_GRID_POINTS), max_size=len(_GRID_POINTS)),
+)
+_CLASSIFIERS = st.one_of(_BOUNDARY_CLASSIFIERS, _TABULAR_CLASSIFIERS)
+
+
+def _labels_from_runs(runs, n: int) -> list[int]:
+    """Point i carries the first label flipped once per cut <= i."""
+    cuts, label = runs
+    return [label * (-1) ** sum(c <= i for c in cuts) for i in range(n)]
 
 
 class TestDisagreementCount:
     def test_cut_indices_put_boundary_points_left(self):
         xs = np.asarray([0.0, 0.5, 0.5, 1.0])
-        assert BoundaryHypothesis((0.5,), 1).cut_indices(xs) == (3,)
-        assert BoundaryHypothesis((-1.0, 2.0), 1).cut_indices(xs) == (0, 4)
-        assert BoundaryHypothesis((), 1).cut_indices(xs) == ()
+        assert BoundaryHypothesis((0.5,), 1).runs(xs) == ((3,), 1)
+        assert BoundaryHypothesis((-1.0, 2.0), -1).runs(xs) == ((0, 4), -1)
+        assert BoundaryHypothesis((), 1).runs(xs) == ((), 1)
+        assert TabularHypothesis((0.0, 0.5, 1.0), (-1, 1, 1)).runs(xs) == ((1,), -1)
 
     def test_hand_value(self):
         xs = np.asarray([0.0, 1.0, 2.0, 3.0])
         h1, h2 = BoundaryHypothesis((), 1), BoundaryHypothesis((1.5,), 1)
-        assert disagreement_count(h1.cut_indices(xs), 1, h2.cut_indices(xs), 1, 4) == 2
+        assert disagreement_count(h1.runs(xs), h2.runs(xs), 4) == 2
+        h3 = TabularHypothesis((0.0, 1.0, 2.0, 3.0), (1, -1, -1, 1))
+        assert disagreement_count(h1.runs(xs), h3.runs(xs), 4) == 2
 
-    @given(st.lists(_GRID, max_size=12), _BOUNDARY_CLASSIFIERS, _BOUNDARY_CLASSIFIERS)
+    @given(
+        st.lists(st.tuples(_GRID, st.sampled_from([-1, 1])), max_size=12),
+        _CLASSIFIERS,
+        _CLASSIFIERS,
+    )
     @settings(max_examples=400, deadline=None)
-    def test_matches_pointwise_count(self, xs, h1, h2):
-        xs = np.sort(np.asarray(xs, dtype=float))
-        n = len(xs)
-        differ = h1.evaluate_many(xs) != h2.evaluate_many(xs)
-        got = disagreement_count(
-            h1.cut_indices(xs), h1.first_sign, h2.cut_indices(xs), h2.first_sign, n
+    def test_matches_pointwise_count(self, points, h1, h2):
+        sample = LabeledSample(
+            np.asarray([x for x, _ in points], dtype=float),
+            np.asarray([y for _, y in points], dtype=np.int8),
         )
+        xs, n = sample.xs, len(sample)
+        for h in (h1, h2):
+            labels = h.evaluate_many(xs)
+            assert _labels_from_runs(h.runs(xs), n) == labels.tolist()
+            assert sample.mistakes(h.runs(xs)) == int(np.sum(labels != sample.ys))
+        differ = h1.evaluate_many(xs) != h2.evaluate_many(xs)
+        got = disagreement_count(h1.runs(xs), h2.runs(xs), n)
         assert got == int(np.sum(differ))
         if n > 0:
             assert got / n == float(np.mean(differ))
@@ -89,12 +114,19 @@ class TestDisagreementCount:
     @pytest.mark.parametrize("n", [0, 1])
     @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     def test_tiny_samples(self, n, signs):
-        xs = np.full(n, 0.5)
-        h1, h2 = BoundaryHypothesis((), signs[0]), BoundaryHypothesis((0.5,), signs[1])
-        want = int(np.sum(h1.evaluate_many(xs) != h2.evaluate_many(xs)))
-        assert disagreement_count(
-            h1.cut_indices(xs), h1.first_sign, h2.cut_indices(xs), h2.first_sign, n
-        ) == want
+        sample = LabeledSample(np.full(n, 0.5), np.full(n, signs[0], dtype=np.int8))
+        xs = sample.xs
+        hyps = (
+            BoundaryHypothesis((), signs[0]),
+            BoundaryHypothesis((0.5,), signs[1]),
+            TabularHypothesis((0.5,), (signs[1],)),
+            TabularHypothesis((0.25, 0.5), (signs[0], -signs[1])),
+        )
+        for h1, h2 in itertools.product(hyps, repeat=2):
+            want = int(np.sum(h1.evaluate_many(xs) != h2.evaluate_many(xs)))
+            assert disagreement_count(h1.runs(xs), h2.runs(xs), n) == want
+        for h in hyps:
+            assert sample.mistakes(h.runs(xs)) == int(np.sum(h.evaluate_many(xs) != sample.ys))
 
 
 class TestTabularHypothesis:

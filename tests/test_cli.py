@@ -23,6 +23,9 @@ def _write_cfg(tmp_path, name, payload):
     return str(path)
 
 
+_STAIRCASE = {"family": "threshold_nn", "params": {"rhos": [1.0]}}
+
+
 def _curve_cfg(tmp_path, base_seed=5, name="curve.json"):
     return _write_cfg(
         tmp_path,
@@ -73,13 +76,32 @@ class TestParsing:
                 "error: unknown selection keys: Cc",
             ),
             ([{"family": "threshold_nn"}], "error: config .* is not a JSON object"),
+            ({**_STAIRCASE, "n_source_grid": "100"}, "error: n_source_grid must be a list"),
+            ({**_STAIRCASE, "replicates": "5"}, "error: replicates must be an integer"),
+            ({**_STAIRCASE, "replicates": True}, "error: replicates must be an integer"),
+            ({**_STAIRCASE, "selection": {"C": "x"}}, "error: C, c and delta must be numbers"),
+            ({**_STAIRCASE, "selection": {"budget": 1.5}}, "error: budget and L_max must be integers"),
+            ({**_STAIRCASE, "selection": [1]}, "error: selection must be an object"),
+            ({**_STAIRCASE, "params": [1, 2]}, "error: params must be an object"),
+            ({**_STAIRCASE, "n_source_grid": [100.5]}, "error: sample sizes must be nonnegative integers"),
+            ({**_STAIRCASE, "params": {"rhos": "124"}}, "error: rhos must be a list of numbers"),
+            ({**_STAIRCASE, "learners": [1, "a"]}, r"error: unknown learners \['a', 1\]"),
         ],
-        ids=["missing_family", "unknown_selection_key", "not_an_object"],
+        ids=["missing_family", "unknown_selection_key", "not_an_object", "grid_string",
+             "replicates_string", "replicates_bool", "C_string", "budget_float", "selection_list",
+             "params_list", "fractional_size", "rhos_string", "learners_mixed"],
     )
     def test_bad_config_is_one_line_error(self, tmp_path, payload, message):
         path = _write_cfg(tmp_path, "bad.json", payload)
         with pytest.raises(SystemExit, match=message) as exc:
             main(["run", "--config", path])
+        assert "\n" not in str(exc.value.code)
+
+    def test_calibrate_coef_grid_string_is_one_line_error(self, tmp_path):
+        payload = {**_STAIRCASE, "params": {"rhos": [1.0], "coef_grid": "12"}}
+        path = _write_cfg(tmp_path, "bad.json", payload)
+        with pytest.raises(SystemExit, match="error: coef_grid must be a list of numbers") as exc:
+            main(["calibrate", "--config", path])
         assert "\n" not in str(exc.value.code)
 
     def test_missing_config_file_is_one_line_error(self, tmp_path):

@@ -14,7 +14,6 @@ from transel.erm import (
     BoundaryClassHierarchy,
     FiniteClassHierarchy,
     OneSidedThresholdHierarchy,
-    empirical_risk,
     erm_bruteforce,
     hypothesis_sort_key,
     mistake_count,
@@ -42,15 +41,15 @@ def _random_case(seed: int):
 class TestCounting:
     def test_mistake_count(self):
         s = _sample([0.0, 0.5, 1.0], [1, -1, 1])
-        h = BoundaryHypothesis((), 1)
-        assert mistake_count(h, s) == 1
-        assert empirical_risk(h, s) == pytest.approx(1 / 3)
+        assert mistake_count(BoundaryHypothesis((), 1), s) == 1
+        assert mistake_count(BoundaryHypothesis((0.25, 0.75), 1), s) == 0
+        assert mistake_count(TabularHypothesis((0.0, 0.5, 1.0), (1, 1, -1)), s) == 2
 
     def test_empty_sample(self):
         s = _sample([], [])
-        h = BoundaryHypothesis((), 1)
-        assert mistake_count(h, s) == 0
-        assert empirical_risk(h, s) == 0.0
+        assert mistake_count(BoundaryHypothesis((), 1), s) == 0
+        assert mistake_count(BoundaryHypothesis((0.5,), -1), s) == 0
+        assert mistake_count(TabularHypothesis((0.0,), (1,)), s) == 0
 
 
 class TestSortKey:

@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from transel import families, harness
+from transel import analysis, families, harness
+from transel.classifiers import BoundaryHypothesis
 from transel.distributions import DiscreteDistribution, PiecewiseDistribution
 from transel.erm import FiniteClassHierarchy, _NestedBoundaryHierarchy
 from transel.families import event_b_probability
@@ -225,13 +226,18 @@ class TestRunReplicates:
         assert len(workspaces) == 2 * 3
 
     def test_rate_curve_builds_each_cell_once(self, monkeypatch):
-        builds = []
+        builds, profiles = [], []
 
         def counted(*args, _orig=families.build_threshold_nn, **kwargs):
             builds.append(args)
             return _orig(*args, **kwargs)
 
+        def counted_profile(*args, _orig=analysis.rate_profile, **kwargs):
+            profiles.append(args)
+            return _orig(*args, **kwargs)
+
         monkeypatch.setattr(families, "build_threshold_nn", counted)
+        monkeypatch.setattr(analysis, "rate_profile", counted_profile)
         cfg = ExperimentConfig(
             kind="rate_curve",
             family="threshold_nn",
@@ -241,9 +247,24 @@ class TestRunReplicates:
             replicates=1,
         )
         _, summary = run_experiment(cfg)
-        # the replicates and the summary's rate profiles read the same instances
+        # the replicates and the summary's rate profiles read the same instances,
+        # and the oracle level and the summary read the same profile per cell
         assert len(builds) == 2
+        assert len(profiles) == 2
         assert set(summary["profiles"]) == {"40|10", "80|10"}
+
+    def test_boundary_classifiers_never_evaluated_pointwise(self, monkeypatch):
+        evals = _count_calls(monkeypatch, (BoundaryHypothesis,), "evaluate_many")
+        cfg = ExperimentConfig(
+            kind="gap_demo",
+            family="gap",
+            params={"rho_a": 4.0, "rho_b": 1.0, "enforce_regime": False},
+            n_source_grid=(10_000,),
+            n_target_grid=(10,),
+        )
+        assert len(run_replicates(cfg)) == 4 * len(LEARNERS)
+        # mistakes and disagreements are counted from runs, never point by point
+        assert evals == []
 
     def test_seed_changes_samples(self):
         def curve_cfg(seed):
@@ -353,6 +374,18 @@ class TestGapDemo:
         draws = _count_calls(monkeypatch, (PiecewiseDistribution, DiscreteDistribution), "sample")
         gap_demo(_gap_cfg(replicates=3))
         assert len(draws) == 3 * 3 * 4
+
+    def test_one_rate_profile_per_instance(self, monkeypatch):
+        profiles = []
+
+        def counted(*args, _orig=analysis.rate_profile, **kwargs):
+            profiles.append(args)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "rate_profile", counted)
+        gap_demo(_gap_cfg(replicates=2))
+        # the oracle level and min_rate_plain read the same profile
+        assert len(profiles) == 4
 
     def test_min_rate_plain_is_the_worst_sigmas(self, monkeypatch):
         # per σ, the best plain rates are 0.00552 (++, -+) and 0.0078125 (+-, --)
