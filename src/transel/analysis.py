@@ -18,7 +18,7 @@ import numpy as np
 from .classifiers import BoundaryHypothesis
 from .distributions import DiscreteDistribution, PiecewiseDistribution, PowerLaw
 from .erm import FiniteClassHierarchy, hypothesis_sort_key
-from .families import TransferInstance
+from .families import GAP_EDGES, TransferInstance
 from .selection import level_confidence
 
 # Excess risks below this are treated as ties with the minimizer.
@@ -215,10 +215,11 @@ def extended_gap_witness_grid(instance: TransferInstance, level: int):
     """
     if instance.family != "extended_gap":
         raise ValueError("witness grid is specific to the extended_gap family")
+    _, left_out, left_in, right_in, right_out, _ = GAP_EDGES
     if level == 1:
-        lo, hi, sign = 5.0 / 9.0, 2.0 / 3.0, -1
+        lo, hi, sign = right_in, right_out, -1
     elif level == 2:
-        lo, hi, sign = 1.0 / 3.0, 4.0 / 9.0, 1
+        lo, hi, sign = left_out, left_in, 1
     else:
         raise ValueError("this family has levels 1 and 2 only")
     # Finite-difference noise in the exact risks caps useful offsets near 1e-6.

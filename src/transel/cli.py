@@ -69,7 +69,10 @@ def _load_config(args) -> ExperimentConfig:
 
     seed = args.seed
     if seed is None and os.environ.get(SEED_ENV_VAR):
-        seed = int(os.environ[SEED_ENV_VAR])
+        try:
+            seed = int(os.environ[SEED_ENV_VAR])
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer")
     if seed is not None:
         cfg = replace(cfg, base_seed=seed)
     if args.replicates is not None:

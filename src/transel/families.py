@@ -10,6 +10,7 @@ deterministic.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -31,9 +32,13 @@ from .erm import (
     FiniteClassHierarchy,
     OneSidedThresholdHierarchy,
 )
-from .selection import _is_number
+from .selection import _is_int, _is_number
 
 GAP_SCALE = 32.0
+# The gap families' support [1/9, 1] cut into five intervals: outer left,
+# inner left, middle, inner right, outer right.  The four inner cuts are
+# unpacked as left_out, left_in, right_in, right_out.
+GAP_EDGES = (1 / 9, 1 / 3, 4 / 9, 5 / 9, 2 / 3, 1)
 
 
 @dataclass(frozen=True)
@@ -154,14 +159,10 @@ def _staircase_source(rhos):
 
 
 def _validate_rhos(rhos):
-    if not isinstance(rhos, (list, tuple)) or not all(_is_number(r) for r in rhos):
-        raise ValueError("rhos must be a list of numbers")
-    rhos = tuple(float(r) for r in rhos)
     if not rhos:
         raise ValueError("need at least one level exponent")
     if rhos[0] < 1.0 or any(a > b for a, b in zip(rhos, rhos[1:])):
         raise ValueError("level exponents must be nondecreasing and at least 1")
-    return rhos
 
 
 def build_threshold_nn(rhos) -> TransferInstance:
@@ -172,7 +173,7 @@ def build_threshold_nn(rhos) -> TransferInstance:
     level i mislabels a known fraction of target cells, giving a staircase of
     target excess risks that is exactly ceil((L-i)/2)/(L+1) for L = len(rhos).
     """
-    rhos = _validate_rhos(rhos)
+    _validate_rhos(rhos)
     levels = len(rhos)
     source, anchors, z = _staircase_source(rhos)
     target = _alternating_uniform(anchors)
@@ -202,7 +203,7 @@ def build_shifted_target(rhos=(1.0, 1.0, 2.0)) -> TransferInstance:
     """Same source as build_threshold_nn with three levels, but the target's
     label boundaries sit halfway between consecutive source boundaries, so
     every level's source optimum has the same target excess risk (3/8)."""
-    rhos = _validate_rhos(rhos)
+    _validate_rhos(rhos)
     if len(rhos) != 3:
         raise ValueError("shifted-target construction is defined for exactly 3 levels")
     source, anchors, z = _staircase_source(rhos)
@@ -230,11 +231,11 @@ def build_shifted_target(rhos=(1.0, 1.0, 2.0)) -> TransferInstance:
     )
 
 
-def _gap_quantities(rho_a, rho_b, n_source, n_target, enforce_regime, hard_cap=None):
-    rho_a, rho_b = float(rho_a), float(rho_b)
+def _gap_params(rho_a, rho_b, n_source, n_target, enforce_regime, hard_cap=None) -> dict:
+    """The params shared by both gap families, their three interval masses
+    included."""
     if not rho_a > rho_b >= 1.0:
         raise ValueError("need rho_a > rho_b >= 1")
-    n_source, n_target = int(n_source), int(n_target)
     if n_source < 1:
         raise ValueError("n_source must be at least 1")
     if n_target < 0:
@@ -254,26 +255,43 @@ def _gap_quantities(rho_a, rho_b, n_source, n_target, enforce_regime, hard_cap=N
             )
     if big > 0.5 or 5.0 / 12.0 - 2.0 * inner < 0.0:
         raise ValueError("n_source too small: interval masses would be negative")
-    return rho_a, rho_b, n_source, n_target, inner, big, small
+    return {"rho_a": rho_a, "rho_b": rho_b, "n_source": n_source, "n_target": n_target,
+            "inner_mass_source": inner, "inner_mass_target_big": big,
+            "inner_mass_target_small": small}
 
 
-def _gap_source(inner_sign: int, inner: float) -> PiecewiseDistribution:
-    return PiecewiseDistribution((
-        Segment(1 / 9, 1 / 3, 1 / 3, Uniform(), Deterministic(1)),
-        Segment(1 / 3, 4 / 9, inner, Uniform(), Deterministic(inner_sign)),
-        Segment(4 / 9, 5 / 9, 5 / 12 - 2 * inner, Uniform(), Deterministic(-1)),
-        Segment(5 / 9, 2 / 3, inner, Uniform(), Deterministic(inner_sign)),
-        Segment(2 / 3, 1, 1 / 4, Uniform(), Deterministic(1)),
+def _gap_distribution(masses, signs, shapes=(Uniform(),) * 5) -> PiecewiseDistribution:
+    """Deterministic labels on the five gap intervals."""
+    edges = GAP_EDGES
+    return PiecewiseDistribution(tuple(
+        Segment(lo, hi, mass, shape, Deterministic(sign))
+        for lo, hi, mass, shape, sign in zip(edges, edges[1:], masses, shapes, signs)
     ))
 
 
-def _gap_truth(rho_a, rho_b, swap_sign):
-    rho_one = rho_b if swap_sign == 1 else rho_a
-    rho_two = rho_a if swap_sign == 1 else rho_b
-    return {
-        1: LevelTruth(rho=rho_one, rho_const=1.0, excess_q_of_source_opt=0.0),
-        2: LevelTruth(rho=rho_two, rho_const=1.0, excess_q_of_source_opt=0.0),
-    }
+def _gap_instance(family, hierarchy, signs, target, params) -> TransferInstance:
+    """The member of a gap family with index signs (inner_sign, swap_sign)."""
+    inner_sign, swap_sign = signs
+    inner, big = params["inner_mass_source"], params["inner_mass_target_big"]
+    fast, slow = params["rho_b"], params["rho_a"]
+    return TransferInstance(
+        family=family,
+        source=_gap_distribution(
+            (1 / 3, inner, 5 / 12 - 2 * inner, inner, 1 / 4), (1, inner_sign, -1, inner_sign, 1)
+        ),
+        target=target,
+        hierarchy=hierarchy,
+        truth={
+            level: LevelTruth(rho=rho, rho_const=1.0, excess_q_of_source_opt=0.0)
+            for level, rho in enumerate((fast, slow) if swap_sign == 1 else (slow, fast), 1)
+        },
+        i_star_source=2,
+        i_star_target=1,
+        optimal_risk_source=0.25 + (inner if inner_sign == 1 else 0.0),
+        optimal_risk_target=big if inner_sign == 1 else (big - params["inner_mass_target_small"]) / 2.0,
+        index=ConstructionIndex(signs),
+        params=params,
+    )
 
 
 def build_gap_family(rho_a, rho_b, n_source, n_target, enforce_regime: bool = True):
@@ -287,50 +305,28 @@ def build_gap_family(rho_a, rho_b, n_source, n_target, enforce_regime: bool = Tr
     intervals carries the larger mass, which swaps the levels' transfer
     exponents between rho_a and rho_b.  Both exponents hold with coefficient 1.
     """
-    rho_a, rho_b, n_source, n_target, inner, big, small = _gap_quantities(
-        rho_a, rho_b, n_source, n_target, enforce_regime
-    )
-    step_near = BoundaryHypothesis((5 / 9,), -1)
-    step_far = BoundaryHypothesis((2 / 3,), -1)
-    interval_near = BoundaryHypothesis((4 / 9,), 1)
-    interval_far = BoundaryHypothesis((1 / 3,), 1)
+    params = _gap_params(rho_a, rho_b, n_source, n_target, enforce_regime)
+    big, small = params["inner_mass_target_big"], params["inner_mass_target_small"]
+    _, left_out, left_in, right_in, right_out, _ = GAP_EDGES
+    step_near = BoundaryHypothesis((right_in,), -1)
+    step_far = BoundaryHypothesis((right_out,), -1)
+    interval_near = BoundaryHypothesis((left_in,), 1)
+    interval_far = BoundaryHypothesis((left_out,), 1)
     hierarchy = FiniteClassHierarchy(
         {1: (step_near, step_far), 2: (step_near, step_far, interval_far, interval_near)},
         vc_dims=(1, 1),
     )
     out = []
-    for inner_sign, swap_sign in itertools.product((1, -1), repeat=2):
+    for signs in itertools.product((1, -1), repeat=2):
+        inner_sign, swap_sign = signs
         left_mass, right_mass = (big, small) if swap_sign == 1 else (small, big)
         outer = (big - small) / 2.0
-        target = PiecewiseDistribution((
-            Segment(1 / 9, 1 / 3, outer, Uniform(), Deterministic(-inner_sign * swap_sign)),
-            Segment(1 / 3, 4 / 9, left_mass, Uniform(), Deterministic(inner_sign)),
-            Segment(4 / 9, 5 / 9, 1.0 - 2.0 * big, Uniform(), Deterministic(-1)),
-            Segment(5 / 9, 2 / 3, right_mass, Uniform(), Deterministic(inner_sign)),
-            Segment(2 / 3, 1, outer, Uniform(), Deterministic(swap_sign)),
-        ))
-        out.append(TransferInstance(
-            family="gap",
-            source=_gap_source(inner_sign, inner),
-            target=target,
-            hierarchy=hierarchy,
-            truth=_gap_truth(rho_a, rho_b, swap_sign),
-            i_star_source=2,
-            i_star_target=1,
-            optimal_risk_source=0.25 + (inner if inner_sign == 1 else 0.0),
-            optimal_risk_target=big if inner_sign == 1 else (big - small) / 2.0,
-            index=ConstructionIndex((inner_sign, swap_sign)),
-            params={
-                "rho_a": rho_a,
-                "rho_b": rho_b,
-                "n_source": n_source,
-                "n_target": n_target,
-                "inner_mass_source": inner,
-                "inner_mass_target_big": big,
-                "inner_mass_target_small": small,
-                "regime_enforced": bool(enforce_regime),
-            },
-        ))
+        target = _gap_distribution(
+            (outer, left_mass, 1.0 - 2.0 * big, right_mass, outer),
+            (-inner_sign * swap_sign, inner_sign, -1, inner_sign, swap_sign),
+        )
+        out.append(_gap_instance("gap", hierarchy, signs, target,
+                                 {**params, "regime_enforced": enforce_regime}))
     return out
 
 
@@ -339,50 +335,30 @@ def build_extended_gap_family(rho_a, rho_b, n_source, n_target):
     left-interval classes, with power-law target densities inside the two
     narrow intervals anchored at the optimal decision boundaries so that the
     same per-level exponents hold along boundary perturbations."""
-    rho_a, rho_b, n_source, n_target, inner, big, small = _gap_quantities(
-        rho_a, rho_b, n_source, n_target, True, hard_cap=1.0 / 24.0
-    )
+    params = _gap_params(rho_a, rho_b, n_source, n_target, True, hard_cap=1.0 / 24.0)
+    big, small = params["inner_mass_target_big"], params["inner_mass_target_small"]
+    _, left_out, left_in, right_in, right_out, _ = GAP_EDGES
     hierarchy = OneSidedThresholdHierarchy(max_level=2)
     out = []
-    for inner_sign, swap_sign in itertools.product((1, -1), repeat=2):
+    for signs in itertools.product((1, -1), repeat=2):
+        inner_sign, swap_sign = signs
         left_mass, right_mass = (big, small) if swap_sign == 1 else (small, big)
         left_exp, right_exp = (
             (1.0 / rho_a, 1.0 / rho_b) if swap_sign == 1 else (1.0 / rho_b, 1.0 / rho_a)
         )
-        left_anchor, right_anchor = (4 / 9, 5 / 9) if inner_sign == 1 else (1 / 3, 2 / 3)
+        left_anchor, right_anchor = (left_in, right_in) if inner_sign == 1 else (left_out, right_out)
         if inner_sign == 1:
             outer_left, outer_right = ((0.0, big - small) if swap_sign == 1 else (big - small, 0.0))
         else:
             outer_left = outer_right = (big - small) / 2.0
-        target = PiecewiseDistribution((
-            Segment(1 / 9, 1 / 3, outer_left, Uniform(), Deterministic(1)),
-            Segment(1 / 3, 4 / 9, left_mass, PowerLaw(left_anchor, left_exp), Deterministic(inner_sign)),
-            Segment(4 / 9, 5 / 9, 1.0 - 2.0 * big, Uniform(), Deterministic(-1)),
-            Segment(5 / 9, 2 / 3, right_mass, PowerLaw(right_anchor, right_exp), Deterministic(inner_sign)),
-            Segment(2 / 3, 1, outer_right, Uniform(), Deterministic(1)),
-        ))
-        out.append(TransferInstance(
-            family="extended_gap",
-            source=_gap_source(inner_sign, inner),
-            target=target,
-            hierarchy=hierarchy,
-            truth=_gap_truth(rho_a, rho_b, swap_sign),
-            i_star_source=2,
-            i_star_target=1,
-            optimal_risk_source=0.25 + (inner if inner_sign == 1 else 0.0),
-            optimal_risk_target=big if inner_sign == 1 else (big - small) / 2.0,
-            index=ConstructionIndex((inner_sign, swap_sign)),
-            params={
-                "rho_a": rho_a,
-                "rho_b": rho_b,
-                "n_source": n_source,
-                "n_target": n_target,
-                "inner_mass_source": inner,
-                "inner_mass_target_big": big,
-                "inner_mass_target_small": small,
-                "inner_anchors": (left_anchor, right_anchor),
-            },
-        ))
+        target = _gap_distribution(
+            (outer_left, left_mass, 1.0 - 2.0 * big, right_mass, outer_right),
+            (1, inner_sign, -1, inner_sign, 1),
+            (Uniform(), PowerLaw(left_anchor, left_exp), Uniform(),
+             PowerLaw(right_anchor, right_exp), Uniform()),
+        )
+        out.append(_gap_instance("extended_gap", hierarchy, signs, target,
+                                 {**params, "inner_anchors": (left_anchor, right_anchor)}))
     return out
 
 
@@ -396,14 +372,23 @@ def event_b_probability(instance: TransferInstance) -> float:
     return (1.0 - 2.0 * inner) ** p["n_source"] * (1.0 - 2.0 * big) ** p["n_target"]
 
 
+def event_b_holds(s_p, s_q) -> bool:
+    """Empirical event B on one replicate of a gap family: no source draw
+    lands in either (closed) inner interval and no target draw lands outside
+    the (closed) middle interval."""
+    _, left_out, left_in, right_in, right_out, _ = GAP_EDGES
+    inner = ((left_out, left_in), (right_in, right_out))
+    in_inner = any(np.any((s_p.xs >= lo) & (s_p.xs <= hi)) for lo, hi in inner)
+    out_mid = np.any((s_q.xs < left_in) | (s_q.xs > right_in))
+    return not in_inner and not out_mid
+
+
 def build_two_point_family(alpha, n_target):
     """Two instances on a two-point support where the target optimum lives at
     level 1 or level 2 and the other level's source optimum pays exactly alpha.
 
     Index signs: (+1,) puts the target optimum at level 1, (-1,) at level 2.
     """
-    alpha = float(alpha)
-    n_target = int(n_target)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if n_target < 0:
@@ -459,12 +444,10 @@ def build_fixed_class_family(d, beta_p, beta_q, rho, alpha, n_source, n_target, 
     nominal exponent; the exact noise-condition coefficient is in
     params["bcc_const_target"].
     """
-    d = int(d)
     if d < 9:
         raise ValueError("need at least 9 support points")
     if d > 12:
         raise ValueError("supports at most 12 points (class enumeration grows as 2**d)")
-    beta_p, beta_q, rho, alpha, c2 = float(beta_p), float(beta_q), float(rho), float(alpha), float(c2)
     if not 0.0 <= beta_p < 1.0:
         raise ValueError("beta_p must lie in [0, 1)")
     if not 0.0 < beta_q < 1.0:
@@ -475,7 +458,6 @@ def build_fixed_class_family(d, beta_p, beta_q, rho, alpha, n_source, n_target, 
         raise ValueError("alpha must lie in (0, 1]")
     if not 0.0 < c2 <= 2.0:
         raise ValueError("c2 must lie in (0, 2]")
-    n_source, n_target = int(n_source), int(n_target)
     if max(n_source, n_target) <= d:
         raise ValueError("need max(n_source, n_target) > d")
     target_arm = math.inf if n_target == 0 else (d / n_target) ** (1.0 / (2.0 - beta_q))
@@ -538,3 +520,43 @@ def build_fixed_class_family(d, beta_p, beta_q, rho, alpha, n_source, n_target, 
             )
 
     return generate()
+
+
+def _param_type(what, ok, convert):
+    def check(name, value):
+        if not ok(value):
+            raise ValueError(f"{name} must be {what}")
+        return convert(value)
+
+    return check
+
+
+NUMBER = _param_type("a number", _is_number, float)
+INTEGER = _param_type("an integer", _is_int, int)
+FLAG = _param_type("true or false", lambda v: isinstance(v, bool), bool)
+NUMBERS = _param_type(
+    "a list of numbers",
+    lambda v: isinstance(v, (list, tuple)) and all(_is_number(r) for r in v),
+    lambda v: tuple(float(r) for r in v),
+)
+
+
+def _family(factory: str, **types):
+    return factory, types, inspect.signature(globals()[factory]).parameters
+
+
+# Every family's factory and the type of each of its params: the only place a
+# JSON-native param is checked and converted.  Factories are named, not held,
+# so a wrapper installed on this module is called.  Required params, defaults
+# and the sample sizes a factory takes come from the factory's signature.
+FAMILIES = {
+    "threshold_nn": _family("build_threshold_nn", rhos=NUMBERS),
+    "shifted_target": _family("build_shifted_target", rhos=NUMBERS),
+    "gap": _family("build_gap_family", rho_a=NUMBER, rho_b=NUMBER, enforce_regime=FLAG),
+    "extended_gap": _family("build_extended_gap_family", rho_a=NUMBER, rho_b=NUMBER),
+    "two_point": _family("build_two_point_family", alpha=NUMBER),
+    "fixed_class": _family(
+        "build_fixed_class_family",
+        d=INTEGER, beta_p=NUMBER, beta_q=NUMBER, rho=NUMBER, alpha=NUMBER, c2=NUMBER,
+    ),
+}

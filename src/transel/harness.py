@@ -89,9 +89,10 @@ def _rng(seed: int) -> np.random.Generator:
 class ExperimentConfig:
     """Everything needed to reproduce one experiment byte for byte.
 
-    ``params`` holds family-specific keys (rhos, rho_a, rho_b, alpha, ...)
-    and kind-specific extras (coef_grid for calibrate); values must stay
-    JSON-native so the config round-trips losslessly.  ``out_dir`` is where
+    ``params`` holds the family's params as JSON-native values, so the config
+    round-trips losslessly; ``build_family`` checks each against the family's
+    table in ``families.FAMILIES``.  The one other key is calibrate's
+    ``coef_grid``, which every other kind rejects.  ``out_dir`` is where
     the CLI writes the outputs; ``run_experiment`` itself writes nothing.
     """
 
@@ -111,6 +112,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if not _is_int(self.replicates) or self.replicates < 1:
             raise ValueError("replicates must be an integer >= 1")
+        if not _is_int(self.base_seed):
+            raise ValueError("base_seed must be an integer")
         if not self.n_source_grid or not self.n_target_grid:
             raise ValueError("sample-size schedules must be nonempty")
         if not all(_is_int(n) and n >= 0 for n in self.n_source_grid + self.n_target_grid):
@@ -195,53 +198,27 @@ class RunRecord:
         ]
 
 
-def _family_params(family: str, params: dict, *keys: str) -> list:
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise ValueError(
-            f"family {family!r} config is missing params: {', '.join(missing)}"
-        )
-    return [params[k] for k in keys]
-
-
 def build_family(family: str, params: dict, n_source: int, n_target: int):
-    """Instantiate a benchmark family; always returns a list of instances."""
-    if family == "threshold_nn":
-        (rhos,) = _family_params(family, params, "rhos")
-        return [families.build_threshold_nn(rhos)]
-    if family == "shifted_target":
-        return [families.build_shifted_target(params.get("rhos", (1.0, 1.0, 2.0)))]
-    if family == "gap":
-        rho_a, rho_b = _family_params(family, params, "rho_a", "rho_b")
-        return families.build_gap_family(
-            rho_a,
-            rho_b,
-            n_source,
-            n_target,
-            enforce_regime=params.get("enforce_regime", True),
-        )
-    if family == "extended_gap":
-        rho_a, rho_b = _family_params(family, params, "rho_a", "rho_b")
-        return families.build_extended_gap_family(rho_a, rho_b, n_source, n_target)
-    if family == "two_point":
-        (alpha,) = _family_params(family, params, "alpha")
-        return families.build_two_point_family(alpha, n_target)
-    if family == "fixed_class":
-        d, beta_p, beta_q, rho, alpha = _family_params(
-            family, params, "d", "beta_p", "beta_q", "rho", "alpha"
-        )
-        gen = families.build_fixed_class_family(
-            d,
-            beta_p,
-            beta_q,
-            rho,
-            alpha,
-            n_source,
-            n_target,
-            c2=params.get("c2", 0.25),
-        )
-        return list(gen)
-    raise ValueError(f"unknown family {family!r}")
+    """Instantiate a benchmark family; always returns a list of instances.
+
+    ``params`` is checked and converted against ``families.FAMILIES``, and
+    the factory also gets whichever sample sizes its signature names.
+    """
+    if family not in families.FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    factory, types, signature = families.FAMILIES[family]
+    unknown = sorted(set(params) - set(types))
+    if unknown:
+        raise ValueError(f"unknown params for family {family!r}: {', '.join(unknown)}")
+    sizes = {"n_source": n_source, "n_target": n_target}
+    missing = [k for k, p in signature.items()
+               if p.default is p.empty and k not in params and k not in sizes]
+    if missing:
+        raise ValueError(f"family {family!r} config is missing params: {', '.join(missing)}")
+    kwargs = {k: types[k](k, v) for k, v in params.items()}
+    kwargs.update((k, n) for k, n in sizes.items() if k in signature)
+    built = getattr(families, factory)(**kwargs)
+    return [built] if isinstance(built, families.TransferInstance) else list(built)
 
 
 def _sigma_tag(instance) -> str:
@@ -406,19 +383,6 @@ def _rate_curve_summary(cfg: ExperimentConfig, cells, records) -> dict:
     }
 
 
-def _event_b(s_p, s_q) -> bool:
-    """Empirical event B on one replicate: the samples avoid the witness regions.
-
-    Holds when no source draw lands in either inner interval and no target
-    draw lands outside the middle interval.
-    """
-    inner = ((1.0 / 3.0, 4.0 / 9.0), (5.0 / 9.0, 2.0 / 3.0))
-    mid = (4.0 / 9.0, 5.0 / 9.0)
-    in_inner = any(np.any((s_p.xs >= lo) & (s_p.xs <= hi)) for lo, hi in inner)
-    out_mid = np.any((s_q.xs < mid[0]) | (s_q.xs > mid[1]))
-    return not in_inner and not out_mid
-
-
 def gap_demo(cfg: ExperimentConfig):
     """Adaptive-versus-oracle comparison on the two-exponent families.
 
@@ -438,8 +402,8 @@ def gap_demo(cfg: ExperimentConfig):
     flags = {_sigma_tag(inst): [] for inst in instances}
     for inst, s_p, s_q, recs in _replicates(one_cell, cells):
         records += recs
-        flags[_sigma_tag(inst)].append(_event_b(s_p, s_q))
-    rho_a, rho_b = cfg.params["rho_a"], cfg.params["rho_b"]
+        flags[_sigma_tag(inst)].append(families.event_b_holds(s_p, s_q))
+    rho_a, rho_b = instances[0].params["rho_a"], instances[0].params["rho_b"]
 
     per_sigma = _group_mean(records, lambda r: (r.learner, r.sigma))
     learners = sorted({rec.learner for rec in records})
@@ -573,7 +537,6 @@ def _verify_gap_like(cfg: ExperimentConfig, entries: list):
     n_p = cfg.n_source_grid[0]
     n_q = cfg.n_target_grid[0]
     instances = build_family(cfg.family, cfg.params, n_p, n_q)
-    rho_b = cfg.params["rho_b"]
     analytic = families.event_b_probability(instances[0])
     entries.append(_entry("event_b_analytic", "", None, analytic, ">= 7/8", analytic >= 7.0 / 8.0))
     for inst in instances:
@@ -595,7 +558,7 @@ def _verify_gap_like(cfg: ExperimentConfig, entries: list):
         prof = analysis.rate_profile(inst, n_p, n_q, delta=cfg.selection.delta)
         if cfg.family == "gap":
             # Unit VC dims collapse the fast arm to the bare rate, bit for bit.
-            want = (1.0 / n_p) ** (1.0 / rho_b)
+            want = (1.0 / n_p) ** (1.0 / inst.params["rho_b"])
         else:
             want = min(
                 (inst.hierarchy.vc_dim(i) / n_p) ** (1.0 / inst.truth[i].rho)
@@ -610,7 +573,7 @@ def _verify_gap_like(cfg: ExperimentConfig, entries: list):
 def _verify_two_point(cfg: ExperimentConfig, entries: list):
     n_q = cfg.n_target_grid[0]
     instances = build_family("two_point", cfg.params, 1, n_q)
-    alpha = cfg.params["alpha"]
+    alpha = instances[0].params["alpha"]
     if n_q >= 1:
         p_all_heavy = (1.0 - alpha) ** n_q
         entries.append(_entry("all_mass_at_heavy_point", "", None, p_all_heavy, ">= 1/2",
@@ -654,20 +617,22 @@ def _verify_fixed_class(cfg: ExperimentConfig, entries: list):
                               abs(exc - t.excess_q_of_source_opt) < 1e-12))
 
 
+VERIFY_SUITES = {
+    "threshold_nn": _verify_threshold_nn,
+    "shifted_target": _verify_shifted,
+    "gap": _verify_gap_like,
+    "extended_gap": _verify_gap_like,
+    "two_point": _verify_two_point,
+    "fixed_class": _verify_fixed_class,
+}
+
+
 def verify_construction(cfg: ExperimentConfig) -> dict:
     """Run the per-family property suite; failures are entries, not aborts."""
     entries: list[dict] = []
-    dispatch = {
-        "threshold_nn": _verify_threshold_nn,
-        "shifted_target": _verify_shifted,
-        "gap": _verify_gap_like,
-        "extended_gap": _verify_gap_like,
-        "two_point": _verify_two_point,
-        "fixed_class": _verify_fixed_class,
-    }
-    if cfg.family not in dispatch:
+    if cfg.family not in VERIFY_SUITES:
         raise ValueError(f"unknown family {cfg.family!r}")
-    dispatch[cfg.family](cfg, entries)
+    VERIFY_SUITES[cfg.family](cfg, entries)
     failed = [e["property"] for e in entries if not e["pass"]]
     return {
         "kind": "verify",
@@ -757,12 +722,13 @@ def calibrate(cfg: ExperimentConfig) -> dict:
     smallest κ among settings whose frequency reaches 1 - delta, with a
     bootstrap interval on κ.
     """
-    grid = cfg.params.get("coef_grid", (0.5, 1.0, 2.0))
+    params = dict(cfg.params)
+    grid = params.pop("coef_grid", (0.5, 1.0, 2.0))
     if not isinstance(grid, (list, tuple)) or not all(_is_number(v) for v in grid):
         raise ValueError("coef_grid must be a list of numbers")
     n_p = cfg.n_source_grid[0]
     n_q = cfg.n_target_grid[0]
-    instance = build_family(cfg.family, cfg.params, n_p, n_q)[0]
+    instance = build_family(cfg.family, params, n_p, n_q)[0]
     tag = _sigma_tag(instance)
     hierarchy = instance.hierarchy
     i_p = instance.i_star_source

@@ -24,6 +24,8 @@ def _write_cfg(tmp_path, name, payload):
 
 
 _STAIRCASE = {"family": "threshold_nn", "params": {"rhos": [1.0]}}
+_GAP = {"family": "gap", "n_source_grid": [32], "n_target_grid": [1]}
+_FIXED_CLASS = {"beta_p": 0.5, "beta_q": 0.5, "rho": 2.0, "alpha": 0.1}
 
 
 def _curve_cfg(tmp_path, base_seed=5, name="curve.json"):
@@ -86,10 +88,29 @@ class TestParsing:
             ({**_STAIRCASE, "n_source_grid": [100.5]}, "error: sample sizes must be nonnegative integers"),
             ({**_STAIRCASE, "params": {"rhos": "124"}}, "error: rhos must be a list of numbers"),
             ({**_STAIRCASE, "learners": [1, "a"]}, r"error: unknown learners \['a', 1\]"),
+            ({"family": "two_point", "params": {"alpha": "0.01"}}, "error: alpha must be a number"),
+            ({"family": "fixed_class", "params": {**_FIXED_CLASS, "d": "9"}},
+             "error: d must be an integer"),
+            ({"family": "fixed_class", "params": {**_FIXED_CLASS, "d": 9.7}},
+             "error: d must be an integer"),
+            ({**_GAP, "params": {"rho_a": 2.0, "rho_b": True}}, "error: rho_b must be a number"),
+            ({**_GAP, "params": {"rho_a": 2.0, "rho_b": 1.0, "enforce_regime": "false"}},
+             "error: enforce_regime must be true or false"),
+            ({**_GAP, "params": {"rho_a": 2.0, "rho_b": 1.0, "enforce_regim": False}},
+             "error: unknown params for family 'gap': enforce_regim"),
+            ({**_STAIRCASE, "params": {"rhos": [1.0], "coef_grid": [1.0]}},
+             "error: unknown params for family 'threshold_nn': coef_grid"),
+            ({**_STAIRCASE, "base_seed": "5"}, "error: base_seed must be an integer"),
+            ({**_STAIRCASE, "base_seed": 5.0}, "error: base_seed must be an integer"),
+            ({**_STAIRCASE, "base_seed": None}, "error: base_seed must be an integer"),
+            ({**_STAIRCASE, "base_seed": True}, "error: base_seed must be an integer"),
         ],
         ids=["missing_family", "unknown_selection_key", "not_an_object", "grid_string",
              "replicates_string", "replicates_bool", "C_string", "budget_float", "selection_list",
-             "params_list", "fractional_size", "rhos_string", "learners_mixed"],
+             "params_list", "fractional_size", "rhos_string", "learners_mixed", "alpha_string",
+             "d_string", "d_fractional", "rho_b_bool", "enforce_regime_string", "unknown_param",
+             "coef_grid_outside_calibrate", "base_seed_string", "base_seed_float",
+             "base_seed_null", "base_seed_bool"],
     )
     def test_bad_config_is_one_line_error(self, tmp_path, payload, message):
         path = _write_cfg(tmp_path, "bad.json", payload)
@@ -102,6 +123,12 @@ class TestParsing:
         path = _write_cfg(tmp_path, "bad.json", payload)
         with pytest.raises(SystemExit, match="error: coef_grid must be a list of numbers") as exc:
             main(["calibrate", "--config", path])
+        assert "\n" not in str(exc.value.code)
+
+    def test_non_integer_seed_env_var_is_one_line_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        with pytest.raises(SystemExit, match=f"error: {SEED_ENV_VAR} must be an integer") as exc:
+            main(["run", "--config", _curve_cfg(tmp_path)])
         assert "\n" not in str(exc.value.code)
 
     def test_missing_config_file_is_one_line_error(self, tmp_path):

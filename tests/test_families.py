@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from transel.classifiers import BoundaryHypothesis
+from transel.distributions import LabeledSample
 from transel.families import (
+    GAP_EDGES,
     ConstructionIndex,
     LevelTruth,
     build_extended_gap_family,
@@ -15,6 +17,7 @@ from transel.families import (
     build_shifted_target,
     build_threshold_nn,
     build_two_point_family,
+    event_b_holds,
     event_b_probability,
 )
 
@@ -178,6 +181,18 @@ class TestGapFamily:
         inst = build_threshold_nn((1.0,))
         with pytest.raises(ValueError):
             event_b_probability(inst)
+
+    def test_empirical_event_b_uses_closed_intervals(self):
+        def sample(*xs):
+            return LabeledSample(np.array(xs), np.ones(len(xs)))
+
+        _, left_out, left_in, right_in, right_out, _ = GAP_EDGES
+        middle = sample(left_in, 0.5, right_in)
+        assert event_b_holds(sample(0.2, 0.5, 0.9), middle)
+        for edge in (left_out, left_in, right_in, right_out):
+            assert not event_b_holds(sample(edge), middle)
+        assert not event_b_holds(sample(0.5), sample(np.nextafter(left_in, 0.0)))
+        assert not event_b_holds(sample(0.5), sample(np.nextafter(right_in, 1.0)))
 
     def test_regime_guard(self):
         with pytest.raises(ValueError):

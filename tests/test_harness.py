@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,8 @@ from transel.harness import (
     _sigma_tag,
 )
 from transel.selection import SelectionConfig
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _count_calls(monkeypatch, classes, name) -> list:
@@ -171,6 +175,28 @@ class TestBuildFamily:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             build_family("mystery", {}, 1, 1)
+
+    def test_integer_params_build_the_float_instances(self):
+        ints = build_family("gap", {"rho_a": 4, "rho_b": 1, "enforce_regime": False}, 10_000, 10)
+        floats = build_family(
+            "gap", {"rho_a": 4.0, "rho_b": 1.0, "enforce_regime": False}, 10_000, 10
+        )
+        def key(inst):
+            return (inst.index, inst.truth, inst.params, inst.source.segments,
+                    inst.target.segments, inst.optimal_risk_source, inst.optimal_risk_target)
+
+        assert [key(inst) for inst in ints] == [key(inst) for inst in floats]
+        assert all(type(inst.params["rho_a"]) is float for inst in ints)
+
+    def test_table_types_every_factory_param(self):
+        for family, (factory, types, signature) in families.FAMILIES.items():
+            assert callable(getattr(families, factory)), family
+            assert set(signature) - {"n_source", "n_target"} == set(types), family
+
+    def test_every_family_has_a_verify_suite(self):
+        suites = runpy.run_path(str(SCRIPTS / "verify_constructions.py"))["SUITES"]
+        assert set(harness.VERIFY_SUITES) == set(families.FAMILIES)
+        assert sorted(family for family, *_ in suites) == sorted(families.FAMILIES)
 
 
 class TestRunReplicates:
