@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .classifiers import BoundaryHypothesis
+from .classifiers import BoundaryGrid
 from .distributions import DiscreteDistribution, PiecewiseDistribution, PowerLaw
 from .erm import FiniteClassHierarchy, hypothesis_sort_key
 from .families import GAP_EDGES, TransferInstance
@@ -76,13 +76,16 @@ def _interior_knots(instance: TransferInstance) -> tuple[float, ...]:
     return tuple(sorted(p for p in pts if lo < p < hi))
 
 
-def _boundary_candidates(hierarchy, level: int, knots) -> list[BoundaryHypothesis]:
-    out = []
+def _boundary_candidates(hierarchy, level: int, knots) -> BoundaryGrid:
+    """Every classifier of the level with its boundaries on ``knots``: by
+    leading sign (+1 first), then boundary count, then knot combination."""
+    knots = np.asarray(knots, dtype=float)
+    parts = []
     for sign, budget in sorted(hierarchy.flip_budgets(level).items(), reverse=True):
         for k in range(budget + 1):
-            for cuts in combinations(knots, k):
-                out.append(BoundaryHypothesis(cuts, sign))
-    return out
+            combos = list(combinations(range(len(knots)), k))
+            parts.append((knots[np.array(combos, dtype=int).reshape(len(combos), k)], sign))
+    return BoundaryGrid.stack(parts)
 
 
 def _level_hypotheses(instance: TransferInstance, level: int):
@@ -105,8 +108,8 @@ def level_risk_minimizer(instance: TransferInstance, which: str, level: int):
     if not candidates:
         raise ValueError(f"level {level} has no hypotheses")
     risks = dist.expected_risks(candidates)
-    best = risks.min()
-    tied = [h for h, r in zip(candidates, risks) if r <= best + RISK_ATOL]
+    # Only the tied rows become hypothesis objects.
+    tied = [candidates[i] for i in np.flatnonzero(risks <= risks.min() + RISK_ATOL)]
     if which in ("P", "source") and len(tied) > 1:
         target_risks = instance.target.expected_risks(tied)
         worst = target_risks.max()
@@ -137,14 +140,11 @@ def excess_risk(instance: TransferInstance, which: str, h) -> float:
     return dist.expected_risk(h) - global_optimal_risk(instance, which)
 
 
-def _approach_offsets(anchors, decades: int = _APPROACH_DECADES) -> list[float]:
-    pts = []
-    for a in anchors:
-        for k in range(1, decades + 1):
-            step = 10.0 ** -k
-            pts.append(a - step)
-            pts.append(a + step)
-    return pts
+def _approach_offsets(anchors, decades: int = _APPROACH_DECADES) -> np.ndarray:
+    """``a -+ 10**-k`` for every anchor a and k = 1..decades."""
+    steps = np.array([10.0 ** -k for k in range(1, decades + 1)])
+    a = np.asarray(anchors, dtype=float)[:, None]
+    return np.concatenate([a - steps, a + steps], axis=None)
 
 
 def default_ratio_grid(instance: TransferInstance, level: int):
@@ -157,7 +157,9 @@ def default_ratio_grid(instance: TransferInstance, level: int):
     a ``100 x 100`` joint sweep when two boundaries are admissible at levels
     <= 2, and geometric approaches ``knot +- 10**-k`` (k = 1..12) so that
     ratios diverging only in a shrinking neighborhood of a breakpoint are
-    still seen.
+    still seen.  A boundary-class grid is a :class:`BoundaryGrid` holding
+    each classifier once, at its first place in that order; witnesses are
+    first maxima, so the order is part of the result.
     """
     hierarchy = instance.hierarchy
     if isinstance(hierarchy, FiniteClassHierarchy):
@@ -167,40 +169,30 @@ def default_ratio_grid(instance: TransferInstance, level: int):
     lo = min(instance.source.support[0], instance.target.support[0])
     hi = max(instance.source.support[1], instance.target.support[1])
     sweep = np.linspace(lo, hi, _SWEEP_POINTS + 2)[1:-1]
-    positions = sorted(set(sweep.tolist()) | set(knots) | {
-        p for p in _approach_offsets(knots) if lo < p < hi
-    })
-    budgets = hierarchy.flip_budgets(level)
+    near = _approach_offsets(knots)
+    positions = np.unique(np.concatenate([sweep, knots, near[(lo < near) & (near < hi)]]))
+    budgets = sorted(hierarchy.flip_budgets(level).items(), reverse=True)
 
-    grid: dict[BoundaryHypothesis, None] = {}
-
-    def add(cuts, sign):
-        grid.setdefault(BoundaryHypothesis(cuts, sign), None)
-
-    for h in _boundary_candidates(hierarchy, level, knots):
-        grid.setdefault(h, None)
-
+    candidates = _boundary_candidates(hierarchy, level, knots)
+    parts = [(candidates.bounds, candidates.signs)]
     ref = level_risk_minimizer(instance, "P", level)
-    for j in range(len(ref.boundaries)):
-        rest = ref.boundaries[:j] + ref.boundaries[j + 1 :]
-        for p in positions:
-            cuts = tuple(sorted(set(rest) | {p}))
-            if len(cuts) == len(ref.boundaries):
-                add(cuts, ref.first_sign)
+    ref_bounds = np.asarray(ref.boundaries)
+    for j in range(len(ref_bounds)):
+        rest = np.delete(ref_bounds, j)
+        moved = positions[~np.isin(positions, rest)]
+        rows = np.column_stack([np.broadcast_to(rest, (len(moved), len(rest))), moved])
+        parts.append((np.sort(rows, axis=1), ref.first_sign))
 
-    for sign, budget in sorted(budgets.items(), reverse=True):
-        add((), sign)
+    for sign, budget in budgets:
+        parts.append((np.empty((1, 0)), sign))
         if budget >= 1:
-            for p in positions:
-                add((p,), sign)
+            parts.append((positions[:, None], sign))
 
-    if level <= 2 and max(budgets.values()) >= 2:
-        joint = np.linspace(lo, hi, _JOINT_POINTS + 2)[1:-1].tolist()
-        for sign, budget in sorted(budgets.items(), reverse=True):
-            if budget >= 2:
-                for a, b in combinations(joint, 2):
-                    add((a, b), sign)
-    return list(grid)
+    if level <= 2 and max(b for _, b in budgets) >= 2:
+        joint = np.linspace(lo, hi, _JOINT_POINTS + 2)[1:-1]
+        pairs = joint[np.column_stack(np.triu_indices(_JOINT_POINTS, k=1))]
+        parts += [(pairs, sign) for sign, budget in budgets if budget >= 2]
+    return BoundaryGrid.stack(parts).unique()
 
 
 def extended_gap_witness_grid(instance: TransferInstance, level: int):
@@ -223,11 +215,10 @@ def extended_gap_witness_grid(instance: TransferInstance, level: int):
     else:
         raise ValueError("this family has levels 1 and 2 only")
     # Finite-difference noise in the exact risks caps useful offsets near 1e-6.
-    positions = sorted(
-        set(np.linspace(lo, hi, _SWEEP_POINTS).tolist())
-        | {p for p in _approach_offsets((lo, hi), decades=6) if lo <= p <= hi}
-    )
-    return [BoundaryHypothesis((p,), sign) for p in positions]
+    near = _approach_offsets((lo, hi), decades=6)
+    positions = np.unique(np.concatenate(
+        [np.linspace(lo, hi, _SWEEP_POINTS), near[(lo <= near) & (near <= hi)]]))
+    return BoundaryGrid.stack([(positions[:, None], sign)])
 
 
 @dataclass(frozen=True)
@@ -299,7 +290,7 @@ def estimate_transfer_exponent(
         grid = default_ratio_grid(instance, level)
         spec = f"default(level={level}, size={len(grid)})"
     else:
-        grid = list(grid)
+        grid = grid if isinstance(grid, BoundaryGrid) else list(grid)
         spec = f"custom(size={len(grid)})"
     if not grid:
         raise ValueError("empty hypothesis grid")
@@ -354,7 +345,8 @@ def verify_bcc(
         raise ValueError("beta must lie in [0, 1]")
     if grid is None:
         grid = default_ratio_grid(instance, level)
-    grid = list(grid)
+    elif not isinstance(grid, BoundaryGrid):
+        grid = list(grid)
     ref = level_risk_minimizer(instance, which, level)
     dis = dist.disagreement_masses(grid, ref)
     exc = np.maximum(dist.expected_risks(grid) - dist.expected_risk(ref), 0.0)

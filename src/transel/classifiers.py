@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +76,62 @@ class BoundaryHypothesis:
         return tuple(cuts.tolist()), self.first_sign
 
 
+@dataclass(frozen=True, eq=False)
+class BoundaryGrid:
+    """Boundary classifiers as arrays, one per row.
+
+    Row i has ``counts[i]`` sorted boundaries in ``bounds[i, :counts[i]]``,
+    the rest of the row padded with ``+inf``, and first sign ``signs[i]``.
+    The risk kernels read the arrays; indexing or iterating builds a row's
+    :class:`BoundaryHypothesis`, which only results need.
+    """
+
+    bounds: np.ndarray
+    counts: np.ndarray
+    signs: np.ndarray
+
+    @classmethod
+    def stack(cls, parts) -> BoundaryGrid:
+        """The rows of ``(bounds, signs)`` parts in order, padded with ``+inf``
+        to the widest.  ``bounds`` is an (n, k) array of rows as in a grid,
+        ``signs`` one first sign per row or one for all n."""
+        width = max(np.shape(b)[1] for b, _ in parts)
+        bounds = np.concatenate([np.hstack([b, np.full((len(b), width - np.shape(b)[1]), np.inf)])
+                                 for b, _ in parts])
+        signs = np.concatenate([np.broadcast_to(s, len(b)) for b, s in parts])
+        return cls(bounds, np.isfinite(bounds).sum(axis=1), signs)
+
+    @classmethod
+    def from_hypotheses(cls, hs) -> BoundaryGrid:
+        """The grid of boundary classifiers ``hs``, in order; a grid is
+        returned as it is."""
+        if isinstance(hs, BoundaryGrid):
+            return hs
+        hs = list(hs)
+        for h in hs:
+            if not isinstance(h, BoundaryHypothesis):
+                raise ValueError(f"boundary grids hold BoundaryHypothesis, got {type(h).__name__}")
+        counts = np.array([len(h.boundaries) for h in hs], dtype=int)
+        bounds = np.full((len(hs), counts.max(initial=0)), np.inf)
+        bounds[np.arange(bounds.shape[1]) < counts[:, None]] = [b for h in hs for b in h.boundaries]
+        return cls(bounds, counts, np.array([h.first_sign for h in hs], dtype=int))
+
+    def unique(self) -> BoundaryGrid:
+        """The grid without repeated classifiers, each where it first occurs."""
+        _, first = np.unique(np.column_stack([self.signs, self.bounds]), axis=0,
+                             return_index=True)
+        first.sort()
+        return BoundaryGrid(self.bounds[first], self.counts[first], self.signs[first])
+
+    def __len__(self) -> int:
+        return len(self.signs)
+
+    def __getitem__(self, i: int) -> BoundaryHypothesis:
+        # An index past the end raises IndexError, which ends iteration.
+        return BoundaryHypothesis(tuple(self.bounds[i, :self.counts[i]].tolist()),
+                                  int(self.signs[i]))
+
+
 def disagreement_count(runs_a, runs_b, n: int) -> int:
     """Points of a sorted n-point sample on which two labelings differ.
 
@@ -115,8 +172,23 @@ class TabularHypothesis:
         except ValueError:
             raise ValueError(f"point {x!r} is not in the tabular support") from None
 
+    @cached_property
+    def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support in ascending order, then NaN, which matches no point;
+        and the labels in that order."""
+        order = np.argsort(self.support)
+        points = np.append(np.asarray(self.support)[order], np.nan)
+        return points, np.asarray(self.labels, dtype=np.int8)[order]
+
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
-        return np.asarray([self.evaluate(x) for x in np.asarray(xs, dtype=float)], dtype=np.int8)
+        """Labels of ``xs`` by one O(n log d) lookup on the sorted support."""
+        xs = np.asarray(xs, dtype=float)
+        points, labels = self._lookup
+        idx = np.searchsorted(points[:-1], xs)
+        missing = points[idx] != xs
+        if missing.any():
+            raise ValueError(f"point {xs[missing][0]!r} is not in the tabular support")
+        return labels[idx]
 
     def runs(self, sorted_xs: np.ndarray) -> tuple[tuple[int, ...], int]:
         """``(cuts, first_label)`` on ascending ``sorted_xs``, as for boundary

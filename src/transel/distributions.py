@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .classifiers import BoundaryHypothesis
+from .classifiers import BoundaryGrid, BoundaryHypothesis
 
 _EDGE_TOL = 1e-12
 
@@ -95,6 +95,16 @@ def _piece_major_sum(terms: list[np.ndarray]) -> np.ndarray:
         for term in terms:
             total += term[:, j]
     return total
+
+
+def _grid_blocks(grid: BoundaryGrid):
+    """Yield (rows, boundaries, first signs) of ``grid`` grouped by boundary
+    count, in blocks of at most ``_GRID_BLOCK`` rows."""
+    for k in np.unique(grid.counts).tolist():
+        rows = np.flatnonzero(grid.counts == k)
+        for start in range(0, len(rows), _GRID_BLOCK):
+            block = rows[start:start + _GRID_BLOCK]
+            yield block, grid.bounds[block, :k], grid.signs[block]
 
 
 def _label_bayes(law) -> float:
@@ -276,22 +286,6 @@ class PiecewiseDistribution:
                     total += seg.sub_mass(x1, x2)
         return total
 
-    def _grid_blocks(self, hs):
-        """Yield (rows, boundaries, first signs) of ``hs`` grouped by boundary
-        count, in blocks of at most ``_GRID_BLOCK`` rows."""
-        by_count: dict[int, list[int]] = {}
-        for i, h in enumerate(hs):
-            if not isinstance(h, BoundaryHypothesis):
-                raise ValueError(
-                    f"piecewise grids hold BoundaryHypothesis, got {type(h).__name__}")
-            by_count.setdefault(len(h.boundaries), []).append(i)
-        for k, rows in sorted(by_count.items()):
-            for start in range(0, len(rows), _GRID_BLOCK):
-                block = rows[start:start + _GRID_BLOCK]
-                bounds = np.array([hs[i].boundaries for i in block], dtype=float)
-                signs = np.array([hs[i].first_sign for i in block])
-                yield block, bounds.reshape(len(block), k), signs
-
     def _clipped_cuts(self, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Left and right ends of the pieces that sorted boundary rows cut out
         of the support.  A boundary outside it is clipped onto an end and
@@ -309,10 +303,11 @@ class PiecewiseDistribution:
         scalar method's anchor-local ``sub_mass`` arithmetic runs element-wise
         and sums piece by piece, then segment by segment, in the scalar order:
         the result is bit-equal to the scalar loop, which stays its oracle.
+        ``hs`` is a :class:`BoundaryGrid` or a list of boundary classifiers.
         """
-        hs = list(hs)
-        out = np.empty(len(hs))
-        for rows, bounds, signs in self._grid_blocks(hs):
+        grid = BoundaryGrid.from_hypotheses(hs)
+        out = np.empty(len(grid))
+        for rows, bounds, signs in _grid_blocks(grid):
             x1, x2 = self._clipped_cuts(bounds)
             # Piece j lies right of exactly j boundaries when it has positive length.
             piece_signs = signs[:, None] * np.where(np.arange(x1.shape[1]) % 2 == 0, 1, -1)
@@ -324,12 +319,12 @@ class PiecewiseDistribution:
     def disagreement_masses(self, hs, ref: BoundaryHypothesis) -> np.ndarray:
         """:meth:`disagreement_mass` of every hypothesis in ``hs`` against
         ``ref``, as one array, bit-equal to the scalar loop."""
-        hs = list(hs)
         if not isinstance(ref, BoundaryHypothesis):
-            raise ValueError(f"piecewise grids hold BoundaryHypothesis, got {type(ref).__name__}")
+            raise ValueError(f"boundary grids hold BoundaryHypothesis, got {type(ref).__name__}")
+        grid = BoundaryGrid.from_hypotheses(hs)
         ref_bounds = np.asarray(ref.boundaries, dtype=float)
-        out = np.empty(len(hs))
-        for rows, bounds, signs in self._grid_blocks(hs):
+        out = np.empty(len(grid))
+        for rows, bounds, signs in _grid_blocks(grid):
             both = np.concatenate(
                 [bounds, np.broadcast_to(ref_bounds, (len(rows), len(ref_bounds)))], axis=1)
             x1, x2 = self._clipped_cuts(np.sort(both, axis=1))

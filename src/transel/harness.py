@@ -726,6 +726,8 @@ def calibrate(cfg: ExperimentConfig) -> dict:
     grid = params.pop("coef_grid", (0.5, 1.0, 2.0))
     if not isinstance(grid, (list, tuple)) or not all(_is_number(v) for v in grid):
         raise ValueError("coef_grid must be a list of numbers")
+    # Floats before seeding: stable_seed reads str(2) and str(2.0) apart.
+    grid = [float(v) for v in grid]
     n_p = cfg.n_source_grid[0]
     n_q = cfg.n_target_grid[0]
     instance = build_family(cfg.family, params, n_p, n_q)[0]
@@ -746,7 +748,7 @@ def calibrate(cfg: ExperimentConfig) -> dict:
     settings = []
     for big_c in grid:
         for small_c in grid:
-            sel = replace(cfg.selection, C=float(big_c), c=float(small_c))
+            sel = replace(cfg.selection, C=big_c, c=small_c)
             excesses = []
             hits = 0
             for (s_p, s_q, s_hold), candidate in zip(draws, candidates):
@@ -763,8 +765,8 @@ def calibrate(cfg: ExperimentConfig) -> dict:
             ]
             settings.append(
                 {
-                    "C": float(big_c),
-                    "c": float(small_c),
+                    "C": big_c,
+                    "c": small_c,
                     "kappa": kappa,
                     "kappa_ci": [float(np.percentile(boot, 2.5)), float(np.percentile(boot, 97.5))],
                     "level_ok_freq": hits / cfg.replicates,

@@ -3,12 +3,14 @@
 import dataclasses
 import math
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from transel.analysis import (
     RISK_ATOL,
+    _interior_knots,
     default_ratio_grid,
     estimate_transfer_exponent,
     excess_risk,
@@ -18,8 +20,10 @@ from transel.analysis import (
     rate_profile,
     verify_bcc,
 )
-from transel.classifiers import BoundaryHypothesis
+from transel.classifiers import BoundaryGrid, BoundaryHypothesis
+from transel.erm import FiniteClassHierarchy, hypothesis_sort_key
 from transel.families import (
+    GAP_EDGES,
     build_extended_gap_family,
     build_fixed_class_family,
     build_gap_family,
@@ -102,7 +106,7 @@ class TestRatioGrids:
     def test_boundary_grid_nonempty_and_typed(self, staircase):
         grid = default_ratio_grid(staircase, 2)
         assert len(grid) > 1000
-        assert all(isinstance(h, BoundaryHypothesis) for h in grid[:50])
+        assert all(isinstance(grid[i], BoundaryHypothesis) for i in range(50))
 
     def test_witness_grid_level_one_shape(self, ext32):
         grid = extended_gap_witness_grid(ext32[0], 1)
@@ -119,6 +123,127 @@ class TestRatioGrids:
             extended_gap_witness_grid(staircase, 1)
         with pytest.raises(ValueError):
             extended_gap_witness_grid(ext32[0], 3)
+
+
+# The grids and minimizers as they were built before grids became arrays,
+# one validated BoundaryHypothesis per row, kept as the oracle of the arrays.
+
+def _object_candidates(hierarchy, level, knots):
+    out = []
+    for sign, budget in sorted(hierarchy.flip_budgets(level).items(), reverse=True):
+        for k in range(budget + 1):
+            for cuts in combinations(knots, k):
+                out.append(BoundaryHypothesis(cuts, sign))
+    return out
+
+
+def _object_minimizer(instance, which, level):
+    dist = instance.source if which == "P" else instance.target
+    candidates = _object_candidates(instance.hierarchy, level, _interior_knots(instance))
+    risks = dist.expected_risks(candidates)
+    best = risks.min()
+    tied = [h for h, r in zip(candidates, risks) if r <= best + RISK_ATOL]
+    if which == "P" and len(tied) > 1:
+        target_risks = instance.target.expected_risks(tied)
+        worst = target_risks.max()
+        tied = [h for h, r in zip(tied, target_risks) if r >= worst - RISK_ATOL]
+    return min(tied, key=hypothesis_sort_key)
+
+
+def _object_offsets(anchors, decades=12):
+    pts = []
+    for a in anchors:
+        for k in range(1, decades + 1):
+            step = 10.0 ** -k
+            pts.append(a - step)
+            pts.append(a + step)
+    return pts
+
+
+def _object_ratio_grid(instance, level):
+    hierarchy = instance.hierarchy
+    if isinstance(hierarchy, FiniteClassHierarchy):
+        return list(hierarchy.levels[level])
+    knots = _interior_knots(instance)
+    lo = min(instance.source.support[0], instance.target.support[0])
+    hi = max(instance.source.support[1], instance.target.support[1])
+    sweep = np.linspace(lo, hi, 10_000 + 2)[1:-1]
+    positions = sorted(set(sweep.tolist()) | set(knots) | {
+        p for p in _object_offsets(knots) if lo < p < hi
+    })
+    budgets = hierarchy.flip_budgets(level)
+    grid = {}
+
+    def add(cuts, sign):
+        grid.setdefault(BoundaryHypothesis(cuts, sign), None)
+
+    for h in _object_candidates(hierarchy, level, knots):
+        grid.setdefault(h, None)
+    ref = _object_minimizer(instance, "P", level)
+    for j in range(len(ref.boundaries)):
+        rest = ref.boundaries[:j] + ref.boundaries[j + 1:]
+        for p in positions:
+            cuts = tuple(sorted(set(rest) | {p}))
+            if len(cuts) == len(ref.boundaries):
+                add(cuts, ref.first_sign)
+    for sign, budget in sorted(budgets.items(), reverse=True):
+        add((), sign)
+        if budget >= 1:
+            for p in positions:
+                add((p,), sign)
+    if level <= 2 and max(budgets.values()) >= 2:
+        joint = np.linspace(lo, hi, 100 + 2)[1:-1].tolist()
+        for sign, budget in sorted(budgets.items(), reverse=True):
+            if budget >= 2:
+                for a, b in combinations(joint, 2):
+                    add((a, b), sign)
+    return list(grid)
+
+
+def _object_witness_grid(instance, level):
+    _, left_out, left_in, right_in, right_out, _ = GAP_EDGES
+    lo, hi, sign = (right_in, right_out, -1) if level == 1 else (left_out, left_in, 1)
+    positions = sorted(
+        set(np.linspace(lo, hi, 10_000).tolist())
+        | {p for p in _object_offsets((lo, hi), decades=6) if lo <= p <= hi}
+    )
+    return [BoundaryHypothesis((p,), sign) for p in positions]
+
+
+def _assert_same_rows(grid, hypotheses):
+    """``grid`` holds ``hypotheses``, in order."""
+    want = BoundaryGrid.from_hypotheses(hypotheses)
+    assert isinstance(grid, BoundaryGrid) and len(grid) == len(want)
+    for got, expected in zip((grid.bounds, grid.counts, grid.signs),
+                             (want.bounds, want.counts, want.signs)):
+        assert np.array_equal(got, expected)
+
+
+class TestGridOracle:
+    """The array grids hold the object grids' hypotheses in the same order,
+    and the array minimizer is the object path's."""
+
+    @pytest.mark.parametrize("rhos", [(1.0,), (1.0, 2.0, 4.0), (1.0, 1.25, 1.5, 2.0, 3.0, 4.0)])
+    def test_staircase_grids_and_minimizers(self, rhos):
+        inst = build_threshold_nn(rhos)
+        for level in range(1, len(rhos) + 1):
+            _assert_same_rows(default_ratio_grid(inst, level), _object_ratio_grid(inst, level))
+            for which in ("P", "Q"):
+                assert level_risk_minimizer(inst, which, level) == _object_minimizer(
+                    inst, which, level)
+
+    def test_gap_families(self, gap32, ext32):
+        for inst in gap32:
+            for level in (1, 2):
+                assert default_ratio_grid(inst, level) == _object_ratio_grid(inst, level)
+        for inst in ext32:
+            for level in (1, 2):
+                _assert_same_rows(default_ratio_grid(inst, level), _object_ratio_grid(inst, level))
+                _assert_same_rows(extended_gap_witness_grid(inst, level),
+                                  _object_witness_grid(inst, level))
+                for which in ("P", "Q"):
+                    assert level_risk_minimizer(inst, which, level) == _object_minimizer(
+                        inst, which, level)
 
 
 class TestTransferExponent:
@@ -219,9 +344,10 @@ class TestBcc:
                                              ("Q", 0.0)])
     def test_matches_scalar_supremum_loop(self, staircase, which, beta):
         full = default_ratio_grid(staircase, 2)
-        # The knot candidates and full[2536:2550] hold the target's
+        # The knot candidates and rows 2536..2549 hold the target's
         # co-minimizers and witness; the stride samples the sweeps.
-        grid = full[:40] + full[2536:2550] + full[::97]
+        rows = [*range(40), *range(2536, 2550), *range(0, len(full), 97)]
+        grid = [full[i] for i in rows]
         dist = staircase.source if which == "P" else staircase.target
         ref = level_risk_minimizer(staircase, which, 2)
         _, best, _ = _scalar_bcc(dist, grid, ref, beta)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from transel.classifiers import (
+    BoundaryGrid,
     BoundaryHypothesis,
     CpwlFunction,
     HierarchySpec,
@@ -143,6 +144,57 @@ class TestTabularHypothesis:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             TabularHypothesis((0.0, 0.0), (1, 1))
+
+    @given(st.lists(_GRID, min_size=1, unique=True), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_lookup_matches_point_loop(self, support, data):
+        # the support is drawn unsorted and the xs repeat; the oracle is the
+        # point-by-point loop evaluate_many used to be
+        labels = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=len(support),
+                                    max_size=len(support)))
+        h = TabularHypothesis(tuple(support), tuple(labels))
+
+        def loop(xs):
+            return np.asarray([h.evaluate(x) for x in np.asarray(xs, dtype=float)], dtype=np.int8)
+
+        xs = data.draw(st.lists(st.sampled_from(support), max_size=12))
+        got = h.evaluate_many(np.asarray(xs, dtype=float))
+        assert got.dtype == np.int8 and np.array_equal(got, loop(xs))
+        off_support = [x for x in _GRID_POINTS + (0.1, -1.0, 5.0, math.nan) if x not in support]
+        for off in data.draw(st.lists(st.sampled_from(off_support), min_size=1, max_size=2)):
+            xs.insert(data.draw(st.integers(0, len(xs))), off)
+        with pytest.raises(ValueError) as want:
+            loop(xs)
+        with pytest.raises(ValueError) as err:
+            h.evaluate_many(np.asarray(xs, dtype=float))
+        assert str(err.value) == str(want.value)
+
+
+class TestBoundaryGrid:
+    @given(st.lists(_BOUNDARY_CLASSIFIERS, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_and_first_occurrences(self, hs):
+        grid = BoundaryGrid.from_hypotheses(hs)
+        assert len(grid) == len(hs) and list(grid) == hs
+        assert BoundaryGrid.from_hypotheses(grid) is grid
+        # dict keys keep the first occurrence of each classifier, in order
+        assert list(grid.unique()) == list(dict.fromkeys(hs))
+
+    def test_stack_pads_with_inf(self):
+        grid = BoundaryGrid.stack([
+            (np.array([[0.5, 1.0]]), -1),
+            (np.empty((1, 0)), 1),
+            (np.array([[0.25], [0.75]]), np.array([1, -1])),
+        ])
+        assert list(grid) == [BoundaryHypothesis((0.5, 1.0), -1), BoundaryHypothesis((), 1),
+                              BoundaryHypothesis((0.25,), 1), BoundaryHypothesis((0.75,), -1)]
+        inf = math.inf
+        assert np.array_equal(grid.bounds, [[0.5, 1.0], [inf, inf], [0.25, inf], [0.75, inf]])
+        assert grid.counts.tolist() == [2, 0, 1, 1]
+
+    def test_rejects_other_hypotheses(self):
+        with pytest.raises(ValueError, match="got TabularHypothesis$"):
+            BoundaryGrid.from_hypotheses([BoundaryHypothesis(), TabularHypothesis((0.5,), (1,))])
 
 
 class TestEnumeration:

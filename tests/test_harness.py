@@ -454,6 +454,19 @@ class TestVerify:
         assert report["all_pass"] is True
         assert report["checks"] == 33
 
+    def test_certify_builds_few_hypothesis_objects(self, monkeypatch):
+        # Grids are arrays; objects are built only for minimizers and witnesses
+        # (about 110,500 per run when every grid row was one).
+        built = _count_calls(monkeypatch, (BoundaryHypothesis,), "__init__")
+        for cfg in (
+            ExperimentConfig(kind="verify", family="threshold_nn", params={"rhos": [1.0]}),
+            ExperimentConfig(kind="verify", family="extended_gap",
+                             params={"rho_a": 4.0, "rho_b": 2.0},
+                             n_source_grid=(32768,), n_target_grid=(1,)),
+        ):
+            assert verify_construction(cfg)["all_pass"] is True
+        assert 0 < len(built) <= 60
+
     def test_unknown_family(self):
         cfg = ExperimentConfig(kind="verify", family="threshold_nn",
                                params={"rhos": [1.0]})
@@ -544,6 +557,20 @@ class TestCalibrate:
         )
         text = summary_json_text(calibrate(cfg))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+
+    def test_integer_coefficients_write_their_float_spelling(self):
+        def summary(coef_grid):
+            cfg = ExperimentConfig(
+                kind="calibrate",
+                family="threshold_nn",
+                params={"rhos": [1.0, 2.0], "coef_grid": coef_grid},
+                n_source_grid=(100,),
+                n_target_grid=(10,),
+                replicates=40,
+            )
+            return summary_json_text(calibrate(cfg))
+
+        assert summary([2, 1]) == summary([2.0, 1.0])
 
     def test_one_source_workspace_per_draw(self, monkeypatch):
         workspaces = _count_calls(
