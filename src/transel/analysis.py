@@ -38,6 +38,7 @@ __all__ = [
     "default_ratio_grid",
     "estimate_transfer_exponent",
     "excess_risk",
+    "excess_risks",
     "extended_gap_witness_grid",
     "global_optimal_risk",
     "level_risk_minimizer",
@@ -134,10 +135,16 @@ def global_optimal_risk(instance: TransferInstance, which: str, recompute: bool 
     return dist.expected_risk(level_risk_minimizer(instance, which, top))
 
 
-def excess_risk(instance: TransferInstance, which: str, h) -> float:
-    """Risk of ``h`` minus the best achievable in the full hierarchy."""
+def excess_risks(instance: TransferInstance, which: str, hs) -> np.ndarray:
+    """Risk of each hypothesis in ``hs`` minus the best achievable in the full
+    hierarchy, from one kernel call."""
     dist = _pick_distribution(instance, which)
-    return dist.expected_risk(h) - global_optimal_risk(instance, which)
+    return dist.expected_risks(hs) - global_optimal_risk(instance, which)
+
+
+def excess_risk(instance: TransferInstance, which: str, h) -> float:
+    """:func:`excess_risks` of the one hypothesis ``h``."""
+    return excess_risks(instance, which, [h]).item()
 
 
 def _approach_offsets(anchors, decades: int = _APPROACH_DECADES) -> np.ndarray:

@@ -60,11 +60,6 @@ class BoundaryHypothesis:
         signs = np.where(crossings % 2 == 0, self.first_sign, -self.first_sign)
         return signs.astype(np.int8)
 
-    def sign_on_interval_right_of(self, x: float) -> int:
-        """Label on a small interval starting at x (the right limit at x)."""
-        crossings = int(np.searchsorted(np.asarray(self.boundaries), x, side="right"))
-        return self.first_sign if crossings % 2 == 0 else -self.first_sign
-
     def runs(self, sorted_xs: np.ndarray) -> tuple[tuple[int, ...], int]:
         """How h labels ascending ``sorted_xs``: ``(cuts, first_label)``.
 

@@ -73,23 +73,18 @@ class Bernoulli:
             raise ValueError("q must lie in [0, 1]")
 
 
-def _label_error(sign: int, law) -> float:
-    """P[Y != sign] under the segment's label law."""
-    if isinstance(law, Deterministic):
-        return 0.0 if sign == law.label else 1.0
-    return 1.0 - law.q if sign == 1 else law.q
-
-
 def _label_errors(signs: np.ndarray, law) -> np.ndarray:
-    """:func:`_label_error` over an array of signs."""
+    """P[Y != sign] under the segment's label law, for an array of signs."""
     if isinstance(law, Deterministic):
         return np.where(signs == law.label, 0.0, 1.0)
     return np.where(signs == 1, 1.0 - law.q, law.q)
 
 
 def _piece_major_sum(terms: list[np.ndarray]) -> np.ndarray:
-    """Row sums of per-segment (rows x pieces) terms, piece by piece and then
-    segment by segment: the order in which the scalar loops add them."""
+    """Row sums of per-segment (rows x pieces) terms, from 0.0 piece by piece
+    and then segment by segment: the order of a scalar loop over pieces, so
+    every sum keeps that loop's bits.  A discrete distribution passes one
+    term whose pieces are its atoms."""
     total = np.zeros(terms[0].shape[0])
     for j in range(terms[0].shape[1]):
         for term in terms:
@@ -133,21 +128,9 @@ class Segment:
         g = _power_antideriv(np.asarray([self.lo, self.hi]), self.shape.anchor, self.shape.exponent)
         return float(g[1] - g[0])
 
-    def sub_mass(self, x1: float, x2: float) -> float:
-        """Probability mass of [x1, x2] intersected with the segment."""
-        a = max(self.lo, min(x1, x2))
-        b = min(self.hi, max(x1, x2))
-        if b <= a:
-            return 0.0
-        if isinstance(self.shape, Uniform):
-            frac = (b - a) / (self.hi - self.lo)
-        else:
-            g = _power_antideriv(np.asarray([a, b]), self.shape.anchor, self.shape.exponent)
-            frac = float(g[1] - g[0]) / self._norm()
-        return self.mass * frac
-
     def sub_masses(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Element-wise :meth:`sub_mass` for ``x1 <= x2``, with the same arithmetic."""
+        """Probability mass of [x1, x2] intersected with the segment,
+        element-wise for ``x1 <= x2``."""
         a = np.maximum(self.lo, x1)
         b = np.minimum(self.hi, x2)
         if isinstance(self.shape, Uniform):
@@ -256,40 +239,21 @@ class PiecewiseDistribution:
                 ys[pick] = np.where(u[pick, 1] < seg.label_law.q, 1, -1)
         return LabeledSample(xs, ys, seed, source_tag)
 
-    def _pieces_with_sign(self, h: BoundaryHypothesis):
-        """Yield (x1, x2, sign) covering the support, split at h's boundaries."""
-        lo, hi = self.support
-        cuts = [lo] + [b for b in h.boundaries if lo < b < hi] + [hi]
-        for x1, x2 in zip(cuts, cuts[1:]):
-            yield x1, x2, h.sign_on_interval_right_of(x1)
-
-    def expected_risk(self, h: BoundaryHypothesis) -> float:
-        total = 0.0
-        for x1, x2, sign in self._pieces_with_sign(h):
-            for seg in self.segments:
-                m = seg.sub_mass(x1, x2)
-                if m > 0.0:
-                    total += m * _label_error(sign, seg.label_law)
-        return total
-
     def bayes_risk(self) -> float:
         return sum(s.mass * _label_bayes(s.label_law) for s in self.segments)
 
+    def expected_risk(self, h: BoundaryHypothesis) -> float:
+        """Exact risk of ``h``: one row of :meth:`expected_risks`."""
+        return self.expected_risks([h]).item()
+
     def disagreement_mass(self, h1: BoundaryHypothesis, h2: BoundaryHypothesis) -> float:
-        lo, hi = self.support
-        cuts = sorted({lo, hi} | {b for b in h1.boundaries if lo < b < hi}
-                      | {b for b in h2.boundaries if lo < b < hi})
-        total = 0.0
-        for x1, x2 in zip(cuts, cuts[1:]):
-            if h1.sign_on_interval_right_of(x1) != h2.sign_on_interval_right_of(x1):
-                for seg in self.segments:
-                    total += seg.sub_mass(x1, x2)
-        return total
+        """Mass on which ``h1`` and ``h2`` differ: one row of :meth:`disagreement_masses`."""
+        return self.disagreement_masses([h1], h2).item()
 
     def _clipped_cuts(self, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Left and right ends of the pieces that sorted boundary rows cut out
         of the support.  A boundary outside it is clipped onto an end and
-        leaves a zero-length piece, whose ``sub_mass`` is exactly 0.0."""
+        leaves a zero-length piece, whose ``sub_masses`` entry is exactly 0.0."""
         lo, hi = self.support
         n = bounds.shape[0]
         cuts = np.concatenate(
@@ -297,13 +261,13 @@ class PiecewiseDistribution:
         return cuts[:, :-1], cuts[:, 1:]
 
     def expected_risks(self, hs) -> np.ndarray:
-        """:meth:`expected_risk` of every hypothesis in ``hs``, as one array.
+        """Exact risk of every hypothesis in ``hs``, as one array.
 
-        Rows with the same boundary count share one piece layout, so the
-        scalar method's anchor-local ``sub_mass`` arithmetic runs element-wise
-        and sums piece by piece, then segment by segment, in the scalar order:
-        the result is bit-equal to the scalar loop, which stays its oracle.
-        ``hs`` is a :class:`BoundaryGrid` or a list of boundary classifiers.
+        Rows with the same boundary count share one piece layout, so each
+        segment's ``sub_masses`` runs on all of them at once, and the terms
+        are summed piece by piece, then segment by segment: each risk is
+        bit-equal to a scalar loop over the hypothesis's pieces.  ``hs`` is
+        a :class:`BoundaryGrid` or a list of boundary classifiers.
         """
         grid = BoundaryGrid.from_hypotheses(hs)
         out = np.empty(len(grid))
@@ -317,8 +281,8 @@ class PiecewiseDistribution:
         return out
 
     def disagreement_masses(self, hs, ref: BoundaryHypothesis) -> np.ndarray:
-        """:meth:`disagreement_mass` of every hypothesis in ``hs`` against
-        ``ref``, as one array, bit-equal to the scalar loop."""
+        """Disagreement mass of every hypothesis in ``hs`` against ``ref``,
+        as one array, summed in the same order as :meth:`expected_risks`."""
         if not isinstance(ref, BoundaryHypothesis):
             raise ValueError(f"boundary grids hold BoundaryHypothesis, got {type(ref).__name__}")
         grid = BoundaryGrid.from_hypotheses(hs)
@@ -358,6 +322,8 @@ class DiscreteDistribution:
         self.points = tuple(pts[i] for i in order)
         self.masses = tuple(ms[i] for i in order)
         self.pos_probs = tuple(qs[i] for i in order)
+        self._points, self._masses, self._pos_probs = (
+            np.asarray(self.points), np.asarray(self.masses), np.asarray(self.pos_probs))
         self._cum = np.concatenate([[0.0], np.cumsum(self.masses)])
         self._cum[-1] = 1.0
 
@@ -368,33 +334,34 @@ class DiscreteDistribution:
             return LabeledSample(np.empty(0), np.empty(0, dtype=np.int8), seed, source_tag)
         idx = np.searchsorted(self._cum, u[:, 0], side="right") - 1
         idx = np.clip(idx, 0, len(self.points) - 1)
-        xs = np.asarray(self.points)[idx]
-        qs = np.asarray(self.pos_probs)[idx]
-        ys = np.where(u[:, 1] < qs, 1, -1)
+        xs = self._points[idx]
+        ys = np.where(u[:, 1] < self._pos_probs[idx], 1, -1)
         return LabeledSample(xs, ys, seed, source_tag)
-
-    def _point_labels(self, h) -> np.ndarray:
-        return h.evaluate_many(np.asarray(self.points))
-
-    def expected_risk(self, h) -> float:
-        signs = self._point_labels(h)
-        total = 0.0
-        for m, q, s in zip(self.masses, self.pos_probs, signs):
-            total += m * ((1.0 - q) if s == 1 else q)
-        return total
 
     def bayes_risk(self) -> float:
         return sum(m * min(q, 1.0 - q) for m, q in zip(self.masses, self.pos_probs))
 
+    def expected_risk(self, h) -> float:
+        """Exact risk of ``h``: one row of :meth:`expected_risks`."""
+        return self.expected_risks([h]).item()
+
     def disagreement_mass(self, h1, h2) -> float:
-        s1 = self._point_labels(h1)
-        s2 = self._point_labels(h2)
-        return float(sum(m for m, a, b in zip(self.masses, s1, s2) if a != b))
+        """Mass on which ``h1`` and ``h2`` differ: one row of :meth:`disagreement_masses`."""
+        return self.disagreement_masses([h1], h2).item()
+
+    def _labels(self, hs) -> np.ndarray:
+        """(hypotheses x atoms) label matrix, one ``evaluate_many`` per hypothesis."""
+        return np.array([h.evaluate_many(self._points) for h in hs],
+                        dtype=np.int8).reshape(-1, len(self.points))
 
     def expected_risks(self, hs) -> np.ndarray:
-        """:meth:`expected_risk` of every hypothesis in ``hs``, as one array."""
-        return np.array([self.expected_risk(h) for h in hs], dtype=float)
+        """Exact risk of every hypothesis in ``hs``, as one array: atom i adds
+        ``masses[i]`` times the chance its label is wrong, atom by atom from 0.0."""
+        errors = np.where(self._labels(hs) == 1, 1.0 - self._pos_probs, self._pos_probs)
+        return _piece_major_sum([self._masses * errors])
 
     def disagreement_masses(self, hs, ref) -> np.ndarray:
-        """:meth:`disagreement_mass` of every hypothesis in ``hs`` against ``ref``."""
-        return np.array([self.disagreement_mass(h, ref) for h in hs], dtype=float)
+        """Disagreement mass of every hypothesis in ``hs`` against ``ref``, as
+        one array, summed atom by atom like :meth:`expected_risks`."""
+        differ = self._labels(hs) != self._labels([ref])
+        return _piece_major_sum([np.where(differ, self._masses, 0.0)])

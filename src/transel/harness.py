@@ -237,14 +237,16 @@ def _draw(instance, n_source: int, n_target: int, base_seed: int, tag: str, repl
     )
 
 
-def _checked_excess(instance, h) -> float:
-    e = analysis.excess_risk(instance, "Q", h)
-    if e < -1e-9:
-        raise RuntimeError(
-            f"analytic excess risk {e} is negative beyond round-off; "
-            "risk accounting is inconsistent"
-        )
-    return max(e, 0.0)
+def _checked_excesses(instance, hs) -> list[float]:
+    """Exact target excess risk of each fit in ``hs``, from one kernel call."""
+    excesses = analysis.excess_risks(instance, "Q", hs).tolist()
+    for e in excesses:
+        if e < -1e-9:
+            raise RuntimeError(
+                f"analytic excess risk {e} is negative beyond round-off; "
+                "risk accounting is inconsistent"
+            )
+    return [max(e, 0.0) for e in excesses]
 
 
 def _run_learner(learner, fit: Fit, oracle_level: int):
@@ -273,7 +275,7 @@ def run_replicates(cfg: ExperimentConfig, cells=None) -> list[RunRecord]:
     instances or their rate profiles too.  Record order is
     (σ, n_P, n_Q, replicate, learner).
     """
-    return [rec for *_, recs in _replicates(cfg, cells) for rec in recs]
+    return list(_records(cfg, cells))
 
 
 def _cells(cfg: ExperimentConfig) -> dict[tuple[int, int], list]:
@@ -290,13 +292,15 @@ def _cells(cfg: ExperimentConfig) -> dict[tuple[int, int], list]:
     }
 
 
-def _replicates(cfg: ExperimentConfig, cells=None):
-    """Fit the configured learners replicate by replicate, in record order.
+def _records(cfg: ExperimentConfig, cells=None, on_draw=None):
+    """Fit the configured learners and yield their records in record order.
 
-    Yields ``(instance, s_p, s_q, records)`` once per replicate: its source
-    and target samples and one record per learner, all fitted on one shared
-    ``Fit``.  The oracle's level is the best plain-rate level of the cell's
-    rate profile.  Nothing of a replicate is kept once the caller moves on.
+    Each (σ, n_P, n_Q) cell yields one record per replicate and learner: all
+    learners of a replicate are fitted on one shared ``Fit``, and every fit
+    of the cell is scored by one exact-risk kernel call.  The oracle's level
+    is the best plain-rate level of the cell's rate profile.
+    ``on_draw(instance, s_p, s_q)`` sees each replicate's source and target
+    samples; no sample outlives its replicate.
     """
     if cells is None:
         cells = _cells(cfg)
@@ -310,29 +314,24 @@ def _replicates(cfg: ExperimentConfig, cells=None):
             for n_q in cfg.n_target_grid:
                 instance, profile = cells[(n_p, n_q)][idx]
                 tag = _sigma_tag(instance)
+                fits = []
                 for r in range(cfg.replicates):
                     s_p, s_q, s_hold = _draw(instance, n_p, n_q, cfg.base_seed, tag, r)
+                    if on_draw is not None:
+                        on_draw(instance, s_p, s_q)
                     fit = Fit(instance.hierarchy, s_p, s_q, s_hold, cfg.selection)
-                    records = []
-                    for learner in cfg.learners:
-                        h, level, branch, wall = _run_learner(learner, fit, profile.i_best_plain)
-                        records.append(
-                            RunRecord(
-                                replicate=r,
-                                sigma=tag,
-                                n_source=n_p,
-                                n_target=n_q,
-                                learner=learner,
-                                level=level,
-                                branch=branch,
-                                excess=_checked_excess(instance, h),
-                                wall_time=wall,
-                            )
-                        )
+                    fits += [(r, learner, *_run_learner(learner, fit, profile.i_best_plain))
+                             for learner in cfg.learners]
                     # The source workspace is a replicate's largest object:
                     # free it before the next draw, not after.
                     del fit
-                    yield instance, s_p, s_q, records
+                excesses = _checked_excesses(instance, [h for _, _, h, *_ in fits])
+                yield from (
+                    RunRecord(replicate=r, sigma=tag, n_source=n_p, n_target=n_q,
+                              learner=learner, level=level, branch=branch, excess=excess,
+                              wall_time=wall)
+                    for (r, learner, _, level, branch, wall), excess in zip(fits, excesses)
+                )
 
 
 def _group_mean(records, key) -> dict:
@@ -398,11 +397,12 @@ def gap_demo(cfg: ExperimentConfig):
     one_cell = replace(cfg, n_source_grid=(n_p,), n_target_grid=(n_q,))
     cells = _cells(one_cell)
     instances = [inst for inst, _ in cells[(n_p, n_q)]]
-    records = []
     flags = {_sigma_tag(inst): [] for inst in instances}
-    for inst, s_p, s_q, recs in _replicates(one_cell, cells):
-        records += recs
+
+    def flag(inst, s_p, s_q):
         flags[_sigma_tag(inst)].append(families.event_b_holds(s_p, s_q))
+
+    records = list(_records(one_cell, cells, flag))
     rho_a, rho_b = instances[0].params["rho_a"], instances[0].params["rho_b"]
 
     per_sigma = _group_mean(records, lambda r: (r.learner, r.sigma))
@@ -659,13 +659,8 @@ def _random_erm_case(seed: int):
     return sample, hierarchy, level
 
 
-def erm_check(cfg: ExperimentConfig, cases: int = 200, fault_case: int | None = None) -> dict:
-    """Exact-solver equivalence sweep against brute force on small samples.
-
-    ``fault_case`` artificially inflates one case's solver mistake count; it
-    exists so the negative control (a broken solver is actually detected)
-    can be exercised.
-    """
+def erm_check(cfg: ExperimentConfig, cases: int = 200) -> dict:
+    """Exact-solver equivalence sweep against brute force on small samples."""
     mismatches = []
     seeds = []
     for i in range(cases):
@@ -674,8 +669,6 @@ def erm_check(cfg: ExperimentConfig, cases: int = 200, fault_case: int | None = 
         sample, hierarchy, level = _random_erm_case(seed)
         ctx = LevelContext(hierarchy, sample, cfg.selection)
         got = ctx.erm(level).mistakes
-        if fault_case is not None and i == fault_case:
-            got += 1
         brute = erm_bruteforce(sample, hierarchy.flip_budgets(level)).mistakes
         if got != brute:
             mismatches.append(
@@ -749,13 +742,13 @@ def calibrate(cfg: ExperimentConfig) -> dict:
     for big_c in grid:
         for small_c in grid:
             sel = replace(cfg.selection, C=big_c, c=small_c)
-            excesses = []
+            chosen = []
             hits = 0
             for (s_p, s_q, s_hold), candidate in zip(draws, candidates):
                 fit = Fit(hierarchy, s_p, s_q, s_hold, sel)
-                excesses.append(_checked_excess(instance, algorithm2(fit, candidate)[0]))
+                chosen.append(algorithm2(fit, candidate)[0])
                 hits += fit.target_scan[0] <= i_q
-            arr = np.asarray(excesses)
+            arr = np.asarray(_checked_excesses(instance, chosen))
             kappa = float(np.percentile(arr, 90)) / rate_at_ip
             boot_rng = _rng(stable_seed(cfg.base_seed, "boot", big_c, small_c))
             boot = [

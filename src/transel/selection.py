@@ -305,23 +305,15 @@ def algorithm2(fit: Fit, candidate):
     target_level, target_h, diagnostics = fit.target_scan
     holdout_sample, cfg = fit.holdout_sample, fit.cfg
     n_hold = len(holdout_sample)
-    if n_hold == 0:
-        trace = SelectionTrace(
-            branch=BRANCH_SOURCE,
-            chosen_hypothesis=candidate,
-            target_level=target_level,
-            candidate=candidate,
-            target_hypothesis=target_h,
-            holdout_size=0,
-            diagnostics={"target": diagnostics},
-        )
-        return candidate, trace
-    a = complexity_term(n_hold, cfg.delta, 1)
-    runs_c, runs_t = candidate.runs(holdout_sample.xs), target_h.runs(holdout_sample.xs)
-    lhs = holdout_sample.mistakes(runs_c) / n_hold - holdout_sample.mistakes(runs_t) / n_hold
-    dis = disagreement_count(runs_c, runs_t, n_hold) / n_hold
-    rhs = math.sqrt(dis * a) + cfg.c * a
-    accepted = lhs <= rhs
+    lhs = rhs = None
+    accepted = True
+    if n_hold:
+        a = complexity_term(n_hold, cfg.delta, 1)
+        runs_c, runs_t = candidate.runs(holdout_sample.xs), target_h.runs(holdout_sample.xs)
+        lhs = holdout_sample.mistakes(runs_c) / n_hold - holdout_sample.mistakes(runs_t) / n_hold
+        dis = disagreement_count(runs_c, runs_t, n_hold) / n_hold
+        rhs = math.sqrt(dis * a) + cfg.c * a
+        accepted = lhs <= rhs
     trace = SelectionTrace(
         branch=BRANCH_SOURCE if accepted else BRANCH_TARGET,
         chosen_hypothesis=candidate if accepted else target_h,

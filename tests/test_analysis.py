@@ -31,6 +31,8 @@ from transel.families import (
     build_threshold_nn,
 )
 
+from risk_oracle import disagreement_mass, expected_risk
+
 # frozen default-grid suprema for the three-level staircase instance
 DEFAULT_GRID_CONSTS = (0.7504882810458184, 13.860915454023152, 50.09085606343628)
 
@@ -321,13 +323,13 @@ class TestTransferExponent:
 
 def _scalar_bcc(dist, grid, ref, beta):
     """verify_bcc's supremum, one hypothesis at a time: (sup, witness, degenerate)."""
-    ref_risk = dist.expected_risk(ref)
+    ref_risk = expected_risk(dist, ref)
     sup, witness, degenerate = 0.0, None, 0
     for h in grid:
-        dis = dist.disagreement_mass(h, ref)
+        dis = disagreement_mass(dist, h, ref)
         if dis < RISK_ATOL:
             continue
-        exc = max(dist.expected_risk(h) - ref_risk, 0.0)
+        exc = max(expected_risk(dist, h) - ref_risk, 0.0)
         if exc < RISK_ATOL and beta > 0.0:
             degenerate += 1
             continue

@@ -22,6 +22,8 @@ from transel.classifiers import (
 from transel.distributions import LabeledSample
 from transel.erm import BoundaryClassHierarchy
 
+from risk_oracle import sign_on_interval_right_of
+
 
 class TestBoundaryHypothesis:
     def test_constant_classifier(self):
@@ -38,7 +40,7 @@ class TestBoundaryHypothesis:
         h = BoundaryHypothesis((0.5,), 1)
         assert h.evaluate(0.5) == 1
         assert h.evaluate(0.5 + 1e-9) == -1
-        assert h.sign_on_interval_right_of(0.5) == -1
+        assert sign_on_interval_right_of(h, 0.5) == -1
 
     @pytest.mark.parametrize("bad", [(1.0, 1.0), (2.0, 1.0)])
     def test_rejects_unsorted_boundaries(self, bad):

@@ -20,6 +20,8 @@ from transel.distributions import (
     _GRID_BLOCK,
 )
 
+from risk_oracle import disagreement_mass, expected_risk, same_bits
+
 
 def _density_at(dist: PiecewiseDistribution, xs: np.ndarray) -> np.ndarray:
     """Independent density evaluation used as a quadrature oracle."""
@@ -84,23 +86,25 @@ def _two_segment_dist() -> PiecewiseDistribution:
     ])
 
 
+def _sub_masses(seg, *intervals):
+    x1, x2 = np.array(intervals, dtype=float).T
+    return seg.sub_masses(x1, x2)
+
+
 class TestSegment:
     def test_uniform_sub_mass(self):
         seg = Segment(0.0, 2.0, 0.5)
-        assert seg.sub_mass(0.0, 1.0) == pytest.approx(0.25)
-        assert seg.sub_mass(-5.0, 0.5) == pytest.approx(0.125)
-        assert seg.sub_mass(3.0, 4.0) == 0.0
+        got = _sub_masses(seg, (0.0, 1.0), (-5.0, 0.5), (3.0, 4.0))
+        np.testing.assert_allclose(got, [0.25, 0.125, 0.0])
 
     def test_power_law_sub_mass(self):
         # density 2x on [0, 1]: mass of [0, t] is t^2
         seg = Segment(0.0, 1.0, 1.0, PowerLaw(anchor=0.0, exponent=2.0))
-        assert seg.sub_mass(0.0, 0.5) == pytest.approx(0.25)
-        assert seg.sub_mass(0.5, 1.0) == pytest.approx(0.75)
+        np.testing.assert_allclose(_sub_masses(seg, (0.0, 0.5), (0.5, 1.0)), [0.25, 0.75])
 
     def test_power_law_interior_anchor(self):
         seg = Segment(-1.0, 1.0, 1.0, PowerLaw(anchor=0.0, exponent=2.0))
-        assert seg.sub_mass(-1.0, 0.0) == pytest.approx(0.5)
-        assert seg.sub_mass(-0.5, 0.5) == pytest.approx(0.25)
+        np.testing.assert_allclose(_sub_masses(seg, (-1.0, 0.0), (-0.5, 0.5)), [0.5, 0.25])
 
     def test_quantile_inverts_sub_mass(self):
         seg = Segment(0.0, 1.0, 1.0, PowerLaw(anchor=0.0, exponent=2.0))
@@ -211,11 +215,16 @@ class TestDisagreement:
 
 
 def _assert_grid_kernels_match(dist, grid, ref):
-    """The grid methods equal loops over the scalar methods, bit for bit."""
-    risks = np.array([dist.expected_risk(h) for h in grid], dtype=float)
-    dis = np.array([dist.disagreement_mass(h, ref) for h in grid], dtype=float)
-    assert np.array_equal(dist.expected_risks(grid), risks)
-    assert np.array_equal(dist.disagreement_masses(grid, ref), dis)
+    """The kernels equal the scalar oracle loops bit for bit, and each one-row
+    method returns its row as a Python float."""
+    risks = [expected_risk(dist, h) for h in grid]
+    dis = [disagreement_mass(dist, h, ref) for h in grid]
+    assert same_bits(dist.expected_risks(grid), risks)
+    assert same_bits(dist.disagreement_masses(grid, ref), dis)
+    for h, risk, d in list(zip(grid, risks, dis))[:8]:
+        got_risk, got_dis = dist.expected_risk(h), dist.disagreement_mass(h, ref)
+        assert type(got_risk) is float and same_bits(np.array([got_risk]), [risk])
+        assert type(got_dis) is float and same_bits(np.array([got_dis]), [d])
 
 
 class TestGridKernels:
@@ -284,6 +293,63 @@ class TestGridKernels:
             dist.disagreement_masses([BoundaryHypothesis()], tab)
         with pytest.raises(ValueError, match="got tuple$"):
             dist.disagreement_masses([(0.5,)], BoundaryHypothesis())
+
+
+@st.composite
+def _discrete_with_hypotheses(draw):
+    """A discrete distribution with zero masses and 0/1 label chances among
+    its atoms, and boundary and tabular hypotheses on its support."""
+    # Past 8 atoms NumPy's own row sums would add in another order.
+    k = draw(st.integers(1, 12))
+    points = draw(st.lists(st.integers(-40, 40).map(lambda v: v / 8.0),
+                           min_size=k, max_size=k, unique=True))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 10.0)),
+                            min_size=k, max_size=k))
+    if sum(weights) == 0.0:
+        weights[0] = 1.0
+    masses = [w / sum(weights) for w in weights]
+    pos_probs = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                              min_size=k, max_size=k))
+    dist = DiscreteDistribution(points, masses, pos_probs)
+    # Boundaries on, between and beyond the atoms.
+    positions = sorted(set(dist.points) | {a + 1 / 16 for a in dist.points} | {-99.0, 99.0})
+    boundary = st.builds(
+        lambda cuts, sign: BoundaryHypothesis(tuple(sorted(cuts)), sign),
+        st.lists(st.sampled_from(positions), max_size=4, unique=True), st.sampled_from([1, -1]))
+    tabular = st.builds(
+        lambda order, labels: TabularHypothesis([points[i] for i in order],
+                                                [labels[i] for i in order]),
+        st.permutations(range(k)), st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
+    hypothesis = st.one_of(boundary, tabular)
+    return dist, draw(st.lists(hypothesis, max_size=8)), draw(hypothesis)
+
+
+class TestDiscreteKernels:
+    @given(_discrete_with_hypotheses())
+    @settings(max_examples=150, deadline=None)
+    def test_kernels_match_scalar_oracle(self, case):
+        dist, hs, ref = case
+        assert same_bits(dist.expected_risks(hs), [expected_risk(dist, h) for h in hs])
+        assert same_bits(dist.disagreement_masses(hs, ref),
+                         [disagreement_mass(dist, h, ref) for h in hs])
+        for h in hs[:1]:
+            assert dist.expected_risk(h) == expected_risk(dist, h)
+            assert dist.disagreement_mass(h, ref) == disagreement_mass(dist, h, ref)
+
+    def test_one_evaluation_per_hypothesis(self, monkeypatch):
+        d = DiscreteDistribution((0.0, 1.0, 2.0), (0.2, 0.3, 0.5), (1.0, 0.25, 0.0))
+        hs = [TabularHypothesis(d.points, (1, -1, 1)), BoundaryHypothesis((0.5,), -1)]
+        calls = []
+        for cls in (TabularHypothesis, BoundaryHypothesis):
+            def counted(self, xs, _orig=cls.evaluate_many):
+                calls.append(len(xs))
+                return _orig(self, xs)
+
+            monkeypatch.setattr(cls, "evaluate_many", counted)
+        d.expected_risks(hs)
+        assert calls == [3, 3]
+        d.disagreement_masses(hs, hs[0])
+        assert calls == [3] * 5
 
 
 class TestSampling:

@@ -228,8 +228,8 @@ class TestExtendedGapFamily:
         inst = build_extended_gap_family(2.0, 1.0, 32, 1)[0]
         left = next(s for s in inst.target.segments if s.lo == pytest.approx(1 / 3))
         anchor = inst.params["inner_anchors"][0]
-        near = left.sub_mass(anchor - 1e-4, anchor)
-        far = left.sub_mass(left.lo, left.lo + 1e-4)
+        near, far = left.sub_masses(np.array([anchor - 1e-4, left.lo]),
+                                    np.array([anchor, left.lo + 1e-4]))
         assert near > far
 
     def test_inner_anchors_follow_inner_sign(self):

@@ -1,6 +1,7 @@
 """Seeded experiment harness: configs, records, summaries, and the built-in suites."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ import pytest
 from transel import analysis, families, harness
 from transel.classifiers import BoundaryHypothesis
 from transel.distributions import DiscreteDistribution, PiecewiseDistribution
-from transel.erm import FiniteClassHierarchy, _NestedBoundaryHierarchy
+from transel.erm import FiniteClassHierarchy, _NestedBoundaryHierarchy, erm_bruteforce
 from transel.families import event_b_probability
 from transel.harness import (
     EXPERIMENT_KINDS,
@@ -348,6 +349,54 @@ class TestOutputs:
         assert records_csv_text(r1) == records_csv_text(r2)
         assert summary_json_text(s1) == summary_json_text(s2)
 
+    def test_pinned_discrete_run(self):
+        # A rate curve scored on the two-point family's discrete target.
+        cfg = ExperimentConfig(kind="rate_curve", family="two_point", params={"alpha": 0.01},
+                               n_source_grid=(10, 40), n_target_grid=(5, 50), replicates=4,
+                               base_seed=11)
+        records, summary = run_experiment(cfg)
+        assert hashlib.sha256(records_csv_text(records).encode("utf-8")).hexdigest() == (
+            "53233a500c726c6f0be05903c4aaebcf6c5862ade45069bdd200640db9ef4fd4"
+        )
+        assert hashlib.sha256(summary_json_text(summary).encode("utf-8")).hexdigest() == (
+            "2833cc865c1ebfab4d27c8b4333ee9555c4e07e251cdc9dc5118153e4a126f9d"
+        )
+
+
+class TestExcessCheck:
+    """Fits are scored against the stored optimum; an excess below it by
+    more than round-off stops the run, and round-off is clamped to 0.0."""
+
+    @staticmethod
+    def _shift_optimum(monkeypatch, by):
+        stored = analysis.global_optimal_risk
+        monkeypatch.setattr(analysis, "global_optimal_risk",
+                            lambda inst, which, recompute=False: stored(inst, which) + by)
+
+    def test_negative_excess_raises(self, monkeypatch):
+        self._shift_optimum(monkeypatch, 2e-9)
+        with pytest.raises(RuntimeError, match="is negative beyond round-off"):
+            run_replicates(_gap_cfg(replicates=2))
+
+    def test_calibrate_checks_its_excesses(self, monkeypatch):
+        self._shift_optimum(monkeypatch, 1.0)
+        cfg = ExperimentConfig(kind="calibrate", family="gap",
+                               params={"rho_a": 2.0, "rho_b": 1.0, "coef_grid": [1.0]},
+                               n_source_grid=(32,), n_target_grid=(1,), replicates=2)
+        with pytest.raises(RuntimeError, match="is negative beyond round-off"):
+            calibrate(cfg)
+
+    def test_round_off_is_clamped(self, monkeypatch):
+        exact = run_replicates(_gap_cfg(replicates=3))
+        self._shift_optimum(monkeypatch, 5e-10)
+        shifted = run_replicates(_gap_cfg(replicates=3))
+        assert any(r.excess == 0.0 for r in exact)
+        for a, b in zip(exact, shifted):
+            if a.excess == 0.0:
+                assert b.excess == 0.0
+            else:
+                assert b.excess == pytest.approx(a.excess - 5e-10, rel=0.0, abs=1e-15)
+
 
 @pytest.fixture(scope="module")
 def demo():
@@ -454,6 +503,23 @@ class TestVerify:
         assert report["all_pass"] is True
         assert report["checks"] == 33
 
+    @pytest.mark.parametrize(
+        "family, params, n_source, n_target, sha256",
+        [
+            # the configs of scripts/verify_constructions.py
+            ("two_point", {"alpha": 0.01}, 10, 50,
+             "17beb9876b05fe2b3e09b70358114d20324f07f5411cf42a577235412092ae6c"),
+            ("fixed_class", {"d": 9, "beta_p": 0.5, "beta_q": 0.5, "rho": 2.0, "alpha": 0.1},
+             1000, 100, "59f36179ba440f593fd8117c5bf181b7f4309567e692b4967a9a660e3cc0ae55"),
+        ],
+        ids=["two_point", "fixed_class"],
+    )
+    def test_pinned_discrete_summary(self, family, params, n_source, n_target, sha256):
+        cfg = ExperimentConfig(kind="verify", family=family, params=params,
+                               n_source_grid=(n_source,), n_target_grid=(n_target,))
+        text = summary_json_text(run_experiment(cfg)[1])
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+
     def test_certify_builds_few_hypothesis_objects(self, monkeypatch):
         # Grids are arrays; objects are built only for minimizers and witnesses
         # (about 110,500 per run when every grid row was one).
@@ -486,12 +552,23 @@ class TestErmCheck:
         assert len(report["case_seeds"]) == 40
         assert report["case_seeds"][0] == stable_seed(5, "erm-case", 0)
 
-    def test_fault_injection_detected(self):
+    def test_fault_injection_detected(self, monkeypatch):
+        # Brute force miscounts case 7 by one: the sweep must report it.
+        calls = []
+
+        def faulty(sample, budgets):
+            result = erm_bruteforce(sample, budgets)
+            calls.append(sample)
+            if len(calls) == 8:
+                return dataclasses.replace(result, mistakes=result.mistakes + 1)
+            return result
+
+        monkeypatch.setattr(harness, "erm_bruteforce", faulty)
         cfg = ExperimentConfig(kind="erm_check", family="threshold_nn",
                                params={"rhos": [1.0]}, base_seed=5)
-        report = erm_check(cfg, cases=12, fault_case=7)
+        report = erm_check(cfg, cases=12)
         assert report["ok"] is False
-        assert report["mismatches"][0]["case"] == 7
+        assert [m["case"] for m in report["mismatches"]] == [7]
 
     def test_one_workspace_per_case(self, monkeypatch):
         workspaces = _count_calls(

@@ -27,6 +27,7 @@ from transel.selection import (
     Fit,
     LevelContext,
     SelectionConfig,
+    SelectionTrace,
     algorithm1,
     algorithm2,
     complexity_term,
@@ -331,6 +332,12 @@ class TestHoldoutArbitration:
         assert trace.branch == BRANCH_SOURCE
         assert chosen == bad
         assert trace.holdout_size == 0
+        # The test's sides stay None and no level is chosen.
+        target_level, target_h, diagnostics = fit.target_scan
+        assert trace == SelectionTrace(
+            branch=BRANCH_SOURCE, chosen_hypothesis=bad, target_level=target_level,
+            candidate=bad, target_hypothesis=target_h, holdout_size=0,
+            diagnostics={"target": diagnostics})
 
 
 class TestAdaptiveProcedure:
