@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -77,23 +76,11 @@ def _interior_knots(instance: TransferInstance) -> tuple[float, ...]:
     return tuple(sorted(p for p in pts if lo < p < hi))
 
 
-def _boundary_candidates(hierarchy, level: int, knots) -> BoundaryGrid:
-    """Every classifier of the level with its boundaries on ``knots``: by
-    leading sign (+1 first), then boundary count, then knot combination."""
-    knots = np.asarray(knots, dtype=float)
-    parts = []
-    for sign, budget in sorted(hierarchy.flip_budgets(level).items(), reverse=True):
-        for k in range(budget + 1):
-            combos = list(combinations(range(len(knots)), k))
-            parts.append((knots[np.array(combos, dtype=int).reshape(len(combos), k)], sign))
-    return BoundaryGrid.stack(parts)
-
-
 def _level_hypotheses(instance: TransferInstance, level: int):
     hierarchy = instance.hierarchy
     if isinstance(hierarchy, FiniteClassHierarchy):
         return list(hierarchy.levels[level])
-    return _boundary_candidates(hierarchy, level, _interior_knots(instance))
+    return BoundaryGrid.of_budgets(hierarchy.flip_budgets(level), _interior_knots(instance))
 
 
 def level_risk_minimizer(instance: TransferInstance, which: str, level: int):
@@ -180,7 +167,7 @@ def default_ratio_grid(instance: TransferInstance, level: int):
     positions = np.unique(np.concatenate([sweep, knots, near[(lo < near) & (near < hi)]]))
     budgets = sorted(hierarchy.flip_budgets(level).items(), reverse=True)
 
-    candidates = _boundary_candidates(hierarchy, level, knots)
+    candidates = BoundaryGrid.of_budgets(hierarchy.flip_budgets(level), knots)
     parts = [(candidates.bounds, candidates.signs)]
     ref = level_risk_minimizer(instance, "P", level)
     ref_bounds = np.asarray(ref.boundaries)

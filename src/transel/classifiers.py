@@ -97,6 +97,20 @@ class BoundaryGrid:
         return cls(bounds, np.isfinite(bounds).sum(axis=1), signs)
 
     @classmethod
+    def of_budgets(cls, budgets, positions) -> BoundaryGrid:
+        """Every classifier whose first sign s has a budget, with at most
+        ``budgets[s]`` boundaries, all on the sorted ``positions``: by first
+        sign (+1 first), then boundary count, then position combination.
+        With no positions it holds exactly the constants of each sign."""
+        positions = np.asarray(positions, dtype=float)
+        parts = []
+        for sign, budget in sorted(budgets.items(), reverse=True):
+            for k in range(budget + 1):
+                combos = list(itertools.combinations(range(len(positions)), k))
+                parts.append((positions[np.array(combos, dtype=int).reshape(len(combos), k)], sign))
+        return cls.stack(parts)
+
+    @classmethod
     def from_hypotheses(cls, hs) -> BoundaryGrid:
         """The grid of boundary classifiers ``hs``, in order; a grid is
         returned as it is."""
@@ -125,6 +139,13 @@ class BoundaryGrid:
         # An index past the end raises IndexError, which ends iteration.
         return BoundaryHypothesis(tuple(self.bounds[i, :self.counts[i]].tolist()),
                                   int(self.signs[i]))
+
+
+def midpoints(xs) -> np.ndarray:
+    """The halfway points between consecutive distinct values of ``xs``,
+    ascending: the boundary positions that tell every labeling of ``xs`` apart."""
+    values = np.unique(np.asarray(xs, dtype=float))
+    return (values[:-1] + values[1:]) / 2.0
 
 
 def disagreement_count(runs_a, runs_b, n: int) -> int:
@@ -191,26 +212,6 @@ class TabularHypothesis:
         labels = self.evaluate_many(sorted_xs)
         cuts = np.nonzero(labels[1:] != labels[:-1])[0] + 1
         return tuple(cuts.tolist()), int(labels[0]) if labels.size else 1
-
-
-def enumerate_hypotheses(points, max_changes: int):
-    """All canonical classifiers on ``points`` with at most ``max_changes`` sign changes.
-
-    Yields each sample-distinguishable classifier exactly once, in order of
-    increasing boundary count; the total count is sum_j 2*C(n-1, j).
-    """
-    points = _as_float_tuple(points)
-    n = len(points)
-    if n == 0:
-        raise ValueError("need at least one point")
-    if any(points[i] >= points[i + 1] for i in range(n - 1)):
-        raise ValueError("points must be strictly increasing")
-    gaps = [(points[i] + points[i + 1]) / 2.0 for i in range(n - 1)]
-    for changes in range(min(max_changes, n - 1) + 1):
-        for combo in itertools.combinations(range(n - 1), changes):
-            cuts = tuple(gaps[i] for i in combo)
-            for sign in (1, -1):
-                yield BoundaryHypothesis(boundaries=cuts, first_sign=sign)
 
 
 @dataclass(frozen=True)
@@ -321,29 +322,3 @@ def cpwl_to_relu_params(f: CpwlFunction) -> ReluParams:
         knots=f.knots,
         hinge_coefs=coefs,
     )
-
-
-@dataclass(frozen=True)
-class HierarchySpec:
-    """Static description of a nested hierarchy: level range and VC dimensions."""
-
-    min_level: int
-    max_level: int
-    vc_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.min_level < 0 or self.max_level < self.min_level:
-            raise ValueError("need 0 <= min_level <= max_level")
-        if len(self.vc_dims) != self.max_level - self.min_level + 1:
-            raise ValueError("need one VC dimension per level")
-        if any(d < 1 for d in self.vc_dims):
-            raise ValueError("VC dimensions must be >= 1")
-        if any(
-            self.vc_dims[i] > self.vc_dims[i + 1] for i in range(len(self.vc_dims) - 1)
-        ):
-            raise ValueError("VC dimensions must be nondecreasing")
-
-    def vc_dim(self, level: int) -> int:
-        if not self.min_level <= level <= self.max_level:
-            raise ValueError(f"level {level} outside [{self.min_level}, {self.max_level}]")
-        return self.vc_dims[level - self.min_level]

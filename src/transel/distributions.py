@@ -163,8 +163,6 @@ class LabeledSample:
 
     xs: np.ndarray
     ys: np.ndarray
-    seed: int | None = None
-    source_tag: str = ""
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -218,11 +216,10 @@ class PiecewiseDistribution:
     def support(self) -> tuple[float, float]:
         return self.segments[0].lo, self.segments[-1].hi
 
-    def sample(self, n: int, rng: np.random.Generator, seed: int | None = None,
-               source_tag: str = "") -> LabeledSample:
+    def sample(self, n: int, rng: np.random.Generator) -> LabeledSample:
         u = rng.random((n, 2))
         if n == 0:
-            return LabeledSample(np.empty(0), np.empty(0, dtype=np.int8), seed, source_tag)
+            return LabeledSample(np.empty(0), np.empty(0, dtype=np.int8))
         idx = np.searchsorted(self._cum, u[:, 0], side="right") - 1
         idx = np.clip(idx, 0, len(self.segments) - 1)
         xs = np.empty(n)
@@ -237,7 +234,7 @@ class PiecewiseDistribution:
                 ys[pick] = seg.label_law.label
             else:
                 ys[pick] = np.where(u[pick, 1] < seg.label_law.q, 1, -1)
-        return LabeledSample(xs, ys, seed, source_tag)
+        return LabeledSample(xs, ys)
 
     def bayes_risk(self) -> float:
         return sum(s.mass * _label_bayes(s.label_law) for s in self.segments)
@@ -327,16 +324,15 @@ class DiscreteDistribution:
         self._cum = np.concatenate([[0.0], np.cumsum(self.masses)])
         self._cum[-1] = 1.0
 
-    def sample(self, n: int, rng: np.random.Generator, seed: int | None = None,
-               source_tag: str = "") -> LabeledSample:
+    def sample(self, n: int, rng: np.random.Generator) -> LabeledSample:
         u = rng.random((n, 2))
         if n == 0:
-            return LabeledSample(np.empty(0), np.empty(0, dtype=np.int8), seed, source_tag)
+            return LabeledSample(np.empty(0), np.empty(0, dtype=np.int8))
         idx = np.searchsorted(self._cum, u[:, 0], side="right") - 1
         idx = np.clip(idx, 0, len(self.points) - 1)
         xs = self._points[idx]
         ys = np.where(u[:, 1] < self._pos_probs[idx], 1, -1)
-        return LabeledSample(xs, ys, seed, source_tag)
+        return LabeledSample(xs, ys)
 
     def bayes_risk(self) -> float:
         return sum(m * min(q, 1.0 - q) for m, q in zip(self.masses, self.pos_probs))

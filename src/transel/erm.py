@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import (
-    BoundaryHypothesis,
-    HierarchySpec,
-    TabularHypothesis,
-    enumerate_hypotheses,
-)
+from .classifiers import BoundaryGrid, BoundaryHypothesis, TabularHypothesis, midpoints
 from .distributions import LabeledSample
 
 DEFAULT_POP_CAP = 1_000_000
@@ -290,13 +285,11 @@ class _NestedBoundaryHierarchy:
         budget = self.flip_budgets(level).get(h.first_sign)
         return budget is not None and h.boundary_count <= budget
 
-    def enumerate_on(self, points, level: int):
-        self._check_level(level)
-        budgets = self.flip_budgets(level)
-        top = max(budgets.values())
-        for h in enumerate_hypotheses(points, top):
-            if self.contains(h, level):
-                yield h
+    def enumerate_on(self, points, level: int) -> BoundaryGrid:
+        """Every classifier of the level that ``points`` tell apart, as the
+        :meth:`BoundaryGrid.of_budgets` grid on their midpoints: by first sign
+        (+1 first), then boundary count, then midpoint combination."""
+        return BoundaryGrid.of_budgets(self.flip_budgets(level), midpoints(points))
 
 
 class BoundaryClassHierarchy(_NestedBoundaryHierarchy):
@@ -345,6 +338,8 @@ class FiniteClassHierarchy:
         keys = sorted(levels)
         if not keys:
             raise ValueError("need at least one level")
+        if keys[0] < 0:
+            raise ValueError("levels must be >= 0")
         if keys != list(range(keys[0], keys[-1] + 1)):
             raise ValueError("levels must be consecutive integers")
         for lo, hi in zip(keys, keys[1:]):
@@ -353,13 +348,22 @@ class FiniteClassHierarchy:
                 raise ValueError(f"level {lo} is not contained in level {hi}")
         if any(len(set(levels[k])) != len(levels[k]) for k in keys):
             raise ValueError("duplicate hypotheses within a level")
+        vc_dims = tuple(vc_dims)
+        if len(vc_dims) != len(keys):
+            raise ValueError("need one VC dimension per level")
+        if any(d < 1 for d in vc_dims):
+            raise ValueError("VC dimensions must be >= 1")
+        if any(a > b for a, b in zip(vc_dims, vc_dims[1:])):
+            raise ValueError("VC dimensions must be nondecreasing")
         self.min_level = keys[0]
         self.max_level = keys[-1]
         self.levels = {k: tuple(levels[k]) for k in keys}
-        self._spec = HierarchySpec(self.min_level, self.max_level, tuple(vc_dims))
+        self.vc_dims = vc_dims
 
     def vc_dim(self, level: int) -> int:
-        return self._spec.vc_dim(level)
+        if not self.min_level <= level <= self.max_level:
+            raise ValueError(f"level {level} outside [{self.min_level}, {self.max_level}]")
+        return self.vc_dims[level - self.min_level]
 
     def make_workspace(self, sample: LabeledSample) -> dict:
         return {"ranked": {}}
@@ -404,19 +408,13 @@ class FiniteClassHierarchy:
 
 
 def erm_bruteforce(sample: LabeledSample, budgets: dict[int, int]) -> ErmResult:
-    """Exhaustive reference minimizer; guards against large samples."""
-    n = len(sample)
-    if n > 20:
+    """Exhaustive reference minimizer over the :meth:`BoundaryGrid.of_budgets`
+    grid on the sample's midpoints; guards against large samples.  The least
+    (mistakes, canonical key) wins, so the grid's row order does not matter."""
+    if len(sample) > 20:
         raise ValueError("brute force is limited to 20 points")
-    if n == 0:
-        sign = 1 if 1 in budgets else -1
-        return ErmResult(BoundaryHypothesis((), sign), 0)
-    points = tuple(np.unique(sample.xs))
     best = None
-    for h in enumerate_hypotheses(points, max(budgets.values())):
-        budget = budgets.get(h.first_sign)
-        if budget is None or h.boundary_count > budget:
-            continue
+    for h in BoundaryGrid.of_budgets(budgets, midpoints(sample.xs)):
         key = (mistake_count(h, sample), *hypothesis_sort_key(h)[1:])
         if best is None or key < best[0]:
             best = (key, h)

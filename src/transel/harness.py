@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import analysis, families
-from .classifiers import BoundaryHypothesis
 from .distributions import LabeledSample
 from .erm import BoundaryClassHierarchy, OneSidedThresholdHierarchy, erm_bruteforce
 from .selection import (
@@ -228,7 +227,7 @@ def _sigma_tag(instance) -> str:
 def _draw(instance, n_source: int, n_target: int, base_seed: int, tag: str, replicate: int):
     def one(dist, n, stream):
         seed = stable_seed(base_seed, tag, n_source, n_target, replicate, stream)
-        return dist.sample(n, _rng(seed), seed=seed, source_tag=stream)
+        return dist.sample(n, _rng(seed))
 
     return (
         one(instance.source, n_source, "P"),
@@ -655,7 +654,7 @@ def _random_erm_case(seed: int):
     else:
         level = int(rng.integers(1, 5))
         hierarchy = OneSidedThresholdHierarchy(max_level=level)
-    sample = LabeledSample(xs, ys, seed, "erm-check")
+    sample = LabeledSample(xs, ys)
     return sample, hierarchy, level
 
 
@@ -677,15 +676,8 @@ def erm_check(cfg: ExperimentConfig, cases: int = 200) -> dict:
         # Intersection search vs exhaustive minimal-set scan.
         scan_from = hierarchy.min_level
         result = ctx.intersection(scan_from)
-        if len(sample) == 0:
-            pool = [
-                BoundaryHypothesis((), s)
-                for s in sorted(hierarchy.flip_budgets(hierarchy.max_level))
-            ]
-        else:
-            pool = hierarchy.enumerate_on(sample.xs, hierarchy.max_level)
         exhaustive = None
-        for h in pool:
+        for h in hierarchy.enumerate_on(sample.xs, hierarchy.max_level):
             if all(ctx.is_member(h, j) for j in range(scan_from, ctx.top + 1)):
                 exhaustive = h
                 break

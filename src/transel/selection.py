@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .classifiers import disagreement_count
 from .distributions import LabeledSample
-from .erm import SEARCH_FOUND, ErmResult, SearchResult
+from .erm import DEFAULT_POP_CAP, SEARCH_FOUND, ErmResult, SearchResult
 
 BRANCH_SOURCE = "source-accepted"
 BRANCH_TARGET = "target-fallback"
@@ -82,7 +82,7 @@ class SelectionConfig:
     c: float = 1.0
     delta: float = 0.05
     L_max: int | None = None
-    budget: int = 1_000_000
+    budget: int = DEFAULT_POP_CAP
 
     def __post_init__(self):
         if not all(_is_number(v) for v in (self.C, self.c, self.delta)):

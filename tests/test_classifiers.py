@@ -12,15 +12,14 @@ from transel.classifiers import (
     BoundaryGrid,
     BoundaryHypothesis,
     CpwlFunction,
-    HierarchySpec,
     TabularHypothesis,
     cpwl_to_relu_params,
     disagreement_count,
-    enumerate_hypotheses,
+    midpoints,
     to_cpwl,
 )
 from transel.distributions import LabeledSample
-from transel.erm import BoundaryClassHierarchy
+from transel.erm import BoundaryClassHierarchy, FiniteClassHierarchy
 
 from risk_oracle import sign_on_interval_right_of
 
@@ -199,29 +198,41 @@ class TestBoundaryGrid:
             BoundaryGrid.from_hypotheses([BoundaryHypothesis(), TabularHypothesis((0.5,), (1,))])
 
 
+def _grid_on(pts, budget):
+    return BoundaryGrid.of_budgets({1: budget, -1: budget}, midpoints(pts))
+
+
 class TestEnumeration:
-    @pytest.mark.parametrize("n,budget", [(1, 0), (3, 1), (4, 2), (5, 4), (6, 3)])
+    @pytest.mark.parametrize("n,budget", [(1, 0), (3, 1), (4, 2), (5, 4), (6, 3),
+                                          (0, 2), (1, 3), (2, 1)])
     def test_count_matches_binomials(self, n, budget):
-        pts = tuple(float(i) for i in range(n))
-        hyps = list(enumerate_hypotheses(pts, budget))
-        expected = sum(2 * math.comb(n - 1, j) for j in range(min(budget, n - 1) + 1))
-        assert len(hyps) == expected
+        # n points with a repeat, so n - 1 distinct gaps; symmetric budgets,
+        # then the one-sided hierarchy's {-1: L, +1: L - 1} at L = budget + 1
+        pts = [float(i) for i in range(n)] + [0.0] * (n > 0)
+        positions = midpoints(pts)
+        assert positions.tolist() == [i + 0.5 for i in range(max(n - 1, 0))]
+        for budgets in ({1: budget, -1: budget}, {-1: budget + 1, 1: budget}):
+            grid = BoundaryGrid.of_budgets(budgets, positions)
+            assert len(grid) == sum(math.comb(len(positions), j)
+                                    for b in budgets.values() for j in range(b + 1))
+            assert grid.counts.tolist() == np.isfinite(grid.bounds).sum(axis=1).tolist()
+            assert len(grid.unique()) == len(grid)
+            hs = list(grid)
+            assert all(h.boundary_count <= budgets[h.first_sign] for h in hs)
+            # +1 rows first, each sign by boundary count
+            assert hs == sorted(hs, key=lambda h: (-h.first_sign, h.boundary_count))
+            if len(positions) == 0:
+                assert hs == [BoundaryHypothesis((), 1), BoundaryHypothesis((), -1)]
 
     def test_all_labelings_distinct(self):
         pts = (0.0, 1.0, 2.0, 3.0, 4.0)
-        seen = {tuple(h.evaluate_many(np.asarray(pts))) for h in enumerate_hypotheses(pts, 4)}
+        seen = {tuple(h.evaluate_many(np.asarray(pts))) for h in _grid_on(pts, 4)}
         # budget n-1 realizes every one of the 2^n labelings
         assert len(seen) == 2 ** len(pts)
 
     def test_budget_saturates(self):
         pts = (0.0, 1.0)
-        assert len(list(enumerate_hypotheses(pts, 10))) == len(
-            list(enumerate_hypotheses(pts, 1))
-        )
-
-    def test_empty_points_raises(self):
-        with pytest.raises(ValueError):
-            list(enumerate_hypotheses((), 1))
+        assert list(_grid_on(pts, 10)) == list(_grid_on(pts, 1))
 
 
 class TestVcDimension:
@@ -229,8 +240,7 @@ class TestVcDimension:
 
     @staticmethod
     def _labelings(pts, budget):
-        return {tuple(h.evaluate_many(np.asarray(pts)).tolist())
-                for h in enumerate_hypotheses(pts, budget)}
+        return {tuple(h.evaluate_many(np.asarray(pts)).tolist()) for h in _grid_on(pts, budget)}
 
     @pytest.mark.parametrize("level,dim", [(0, 1), (1, 2), (4, 5)])
     def test_values(self, level, dim):
@@ -318,15 +328,32 @@ class TestCpwlSurrogate:
 
 
 class TestHierarchySpec:
+    """The level range and VC dimensions a finite hierarchy is built with."""
+
+    @staticmethod
+    def _levels(lo, hi):
+        h = BoundaryHypothesis()
+        return {k: (h,) for k in range(lo, hi + 1)}
+
     def test_vc_lookup(self):
-        spec = HierarchySpec(min_level=1, max_level=3, vc_dims=(2, 3, 4))
-        assert spec.vc_dim(2) == 3
+        hierarchy = FiniteClassHierarchy(self._levels(1, 3), vc_dims=(2, 3, 4))
+        assert hierarchy.vc_dim(2) == 3
 
     def test_out_of_range_raises(self):
-        spec = HierarchySpec(min_level=1, max_level=2, vc_dims=(2, 3))
-        with pytest.raises(ValueError):
-            spec.vc_dim(0)
+        hierarchy = FiniteClassHierarchy(self._levels(1, 2), vc_dims=(2, 3))
+        for level in (0, 3):
+            with pytest.raises(ValueError, match="outside"):
+                hierarchy.vc_dim(level)
 
     def test_rejects_decreasing_dims(self):
-        with pytest.raises(ValueError):
-            HierarchySpec(min_level=0, max_level=1, vc_dims=(3, 2))
+        with pytest.raises(ValueError, match="nondecreasing"):
+            FiniteClassHierarchy(self._levels(0, 1), vc_dims=(3, 2))
+
+    @pytest.mark.parametrize("lo,hi,dims,message", [
+        (0, 1, (2,), "one VC dimension per level"),
+        (0, 0, (0,), ">= 1"),
+        (-1, 0, (1, 1), "levels must be >= 0"),
+    ])
+    def test_rejects_bad_dims_and_levels(self, lo, hi, dims, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteClassHierarchy(self._levels(lo, hi), vc_dims=dims)

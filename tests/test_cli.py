@@ -263,6 +263,11 @@ class TestSummaryOnlyCommands:
         assert summary["ok"] is True
         assert "all matched" in capsys.readouterr().out
 
+    def test_erm_check_with_repeated_x(self, capsys):
+        # seed 415 draws a case with a repeated x
+        assert main(["erm-check", "--seed", "415"]) == 0
+        assert "erm-check: 200 cases, all matched" in capsys.readouterr().out
+
     def test_erm_check_mismatch_exit_code(self, monkeypatch, capsys):
         summary = {
             "kind": "erm_check",

@@ -371,8 +371,8 @@ class TestSampling:
 
     def test_empty_sample(self):
         dist = _two_segment_dist()
-        s = dist.sample(0, np.random.default_rng(1), seed=9, source_tag="P")
-        assert len(s) == 0 and s.seed == 9 and s.source_tag == "P"
+        s = dist.sample(0, np.random.default_rng(1))
+        assert len(s) == 0 and s.xs.dtype == float and s.ys.dtype == np.int8
 
     def test_monte_carlo_matches_exact_risk(self):
         dist = _two_segment_dist()

@@ -552,6 +552,14 @@ class TestErmCheck:
         assert len(report["case_seeds"]) == 40
         assert report["case_seeds"][0] == stable_seed(5, "erm-case", 0)
 
+    def test_repeated_x_in_case(self):
+        # case 60 of seed 415 draws 0.040104 twice; the exhaustive scan
+        # enumerates on the distinct points
+        cfg = ExperimentConfig(kind="erm_check", family="threshold_nn",
+                               params={"rhos": [1.0]}, base_seed=415)
+        report = erm_check(cfg, cases=61)
+        assert report["ok"] is True
+
     def test_fault_injection_detected(self, monkeypatch):
         # Brute force miscounts case 7 by one: the sweep must report it.
         calls = []
