@@ -9,6 +9,7 @@ of approximation, and their construction is spelled out in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,22 +47,21 @@ __all__ = [
 ]
 
 
-def _pick_distribution(instance: TransferInstance, which: str):
-    if which in ("P", "source"):
-        return instance.source
-    if which in ("Q", "target"):
-        return instance.target
-    raise ValueError(f"which must be 'P' or 'Q', got {which!r}")
+def _side(which: str, p, q):
+    """``p`` for the source side ``"P"``, ``q`` for the target side ``"Q"``."""
+    if which not in ("P", "Q"):
+        raise ValueError(f"which must be 'P' or 'Q', got {which!r}")
+    return p if which == "P" else q
 
 
-def _interior_knots(instance: TransferInstance) -> tuple[float, ...]:
+def _interior_knots(source, target) -> tuple[float, ...]:
     """Breakpoints of both marginals strictly inside the common support.
 
     Collects segment endpoints and power-law anchors; any optimal boundary
     placement is attained at one of these (risk is piecewise monotone in each
     boundary between consecutive knots).
     """
-    dists = (instance.source, instance.target)
+    dists = (source, target)
     if any(not isinstance(d, PiecewiseDistribution) for d in dists):
         raise ValueError("boundary search needs piecewise marginals on both sides")
     lo = min(d.support[0] for d in dists)
@@ -76,33 +76,38 @@ def _interior_knots(instance: TransferInstance) -> tuple[float, ...]:
     return tuple(sorted(p for p in pts if lo < p < hi))
 
 
-def _level_hypotheses(instance: TransferInstance, level: int):
-    hierarchy = instance.hierarchy
+@functools.lru_cache(maxsize=64)
+def _reference(source, target, hierarchy, which: str, level: int):
+    """The level's exact risk minimizer on side ``which``, with its P and Q risks.
+
+    The level (the finite class, or every knot combination within its flip
+    budgets) is enumerated once and scored by one kernel call per side; the
+    cache keys hash by identity.  Ties within ``RISK_ATOL`` go, for the
+    source, to the tied hypothesis with the largest target risk (worst-case
+    representative), then to the smallest under ``hypothesis_sort_key``; for
+    the target the sort key decides directly.
+    """
     if isinstance(hierarchy, FiniteClassHierarchy):
-        return list(hierarchy.levels[level])
-    return BoundaryGrid.of_budgets(hierarchy.flip_budgets(level), _interior_knots(instance))
+        candidates = list(hierarchy.levels[level])
+    else:
+        candidates = BoundaryGrid.of_budgets(
+            hierarchy.flip_budgets(level), _interior_knots(source, target))
+    if not candidates:
+        raise ValueError(f"level {level} has no hypotheses")
+    risks_p, risks_q = source.expected_risks(candidates), target.expected_risks(candidates)
+    own = _side(which, risks_p, risks_q)
+    tied = np.flatnonzero(own <= own.min() + RISK_ATOL)
+    if which == "P" and len(tied) > 1:
+        tied = tied[risks_q[tied] >= risks_q[tied].max() - RISK_ATOL]
+    # Only the tied rows become hypothesis objects.
+    i = min(tied, key=lambda i: hypothesis_sort_key(candidates[i]))
+    return candidates[i], float(risks_p[i]), float(risks_q[i])
 
 
 def level_risk_minimizer(instance: TransferInstance, which: str, level: int):
-    """Exact risk minimizer within the level's class.
-
-    Ties within ``RISK_ATOL`` are broken deterministically: for the source the
-    winner is the tied hypothesis with the largest target risk (worst-case
-    representative), then the smallest under ``hypothesis_sort_key``; for the
-    target the sort key decides directly.
-    """
-    dist = _pick_distribution(instance, which)
-    candidates = _level_hypotheses(instance, level)
-    if not candidates:
-        raise ValueError(f"level {level} has no hypotheses")
-    risks = dist.expected_risks(candidates)
-    # Only the tied rows become hypothesis objects.
-    tied = [candidates[i] for i in np.flatnonzero(risks <= risks.min() + RISK_ATOL)]
-    if which in ("P", "source") and len(tied) > 1:
-        target_risks = instance.target.expected_risks(tied)
-        worst = target_risks.max()
-        tied = [h for h, r in zip(tied, target_risks) if r >= worst - RISK_ATOL]
-    return min(tied, key=hypothesis_sort_key)
+    """Exact risk minimizer within the level's class, under the tie rule of
+    :func:`_reference`."""
+    return _reference(instance.source, instance.target, instance.hierarchy, which, level)[0]
 
 
 def global_optimal_risk(instance: TransferInstance, which: str, recompute: bool = False) -> float:
@@ -112,20 +117,16 @@ def global_optimal_risk(instance: TransferInstance, which: str, recompute: bool 
     tests use to cross-check the stored values.
     """
     if not recompute:
-        return (
-            instance.optimal_risk_source
-            if which in ("P", "source")
-            else instance.optimal_risk_target
-        )
-    dist = _pick_distribution(instance, which)
-    top = instance.hierarchy.max_level
-    return dist.expected_risk(level_risk_minimizer(instance, which, top))
+        return _side(which, instance.optimal_risk_source, instance.optimal_risk_target)
+    _, risk_p, risk_q = _reference(
+        instance.source, instance.target, instance.hierarchy, which, instance.hierarchy.max_level)
+    return _side(which, risk_p, risk_q)
 
 
 def excess_risks(instance: TransferInstance, which: str, hs) -> np.ndarray:
     """Risk of each hypothesis in ``hs`` minus the best achievable in the full
     hierarchy, from one kernel call."""
-    dist = _pick_distribution(instance, which)
+    dist = _side(which, instance.source, instance.target)
     return dist.expected_risks(hs) - global_optimal_risk(instance, which)
 
 
@@ -159,7 +160,7 @@ def default_ratio_grid(instance: TransferInstance, level: int):
     if isinstance(hierarchy, FiniteClassHierarchy):
         return list(hierarchy.levels[level])
 
-    knots = _interior_knots(instance)
+    knots = _interior_knots(instance.source, instance.target)
     lo = min(instance.source.support[0], instance.target.support[0])
     hi = max(instance.source.support[1], instance.target.support[1])
     sweep = np.linspace(lo, hi, _SWEEP_POINTS + 2)[1:-1]
@@ -228,9 +229,7 @@ class TransferExponentEstimate:
 
 
 def _excess_arrays(instance, level, grid):
-    ref = level_risk_minimizer(instance, "P", level)
-    ref_p = instance.source.expected_risk(ref)
-    ref_q = instance.target.expected_risk(ref)
+    _, ref_p, ref_q = _reference(instance.source, instance.target, instance.hierarchy, "P", level)
     e_p = instance.source.expected_risks(grid) - ref_p
     e_q = instance.target.expected_risks(grid) - ref_q
     np.maximum(e_p, 0.0, out=e_p)
@@ -331,19 +330,20 @@ def verify_bcc(
     grid=None,
 ) -> BccCheck:
     """Check disagreement <= const * excess**beta against the level minimizer."""
-    dist = _pick_distribution(instance, which)
+    dist = _side(which, instance.source, instance.target)
     if beta is None:
         truth = instance.level_truth(level)
-        beta = truth.beta_p if which in ("P", "source") else truth.beta_q
+        beta = _side(which, truth.beta_p, truth.beta_q)
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     if grid is None:
         grid = default_ratio_grid(instance, level)
     elif not isinstance(grid, BoundaryGrid):
         grid = list(grid)
-    ref = level_risk_minimizer(instance, which, level)
+    ref, risk_p, risk_q = _reference(instance.source, instance.target, instance.hierarchy,
+                                     which, level)
     dis = dist.disagreement_masses(grid, ref)
-    exc = np.maximum(dist.expected_risks(grid) - dist.expected_risk(ref), 0.0)
+    exc = np.maximum(dist.expected_risks(grid) - _side(which, risk_p, risk_q), 0.0)
     live = dis >= RISK_ATOL
     # Zero excess with positive disagreement defeats any constant unless the
     # exponent is zero, where disagreement alone is bounded.
@@ -359,7 +359,7 @@ def verify_bcc(
     sup = float(ratios.max(initial=0.0))
     return BccCheck(
         level=level,
-        which="P" if which in ("P", "source") else "Q",
+        which=which,
         beta=beta,
         sup_ratio=sup,
         confirmed=math.isfinite(sup) and not degen.any(),

@@ -119,13 +119,9 @@ class _DpWorkspace:
             self._aux_cache[key] = cached
         return cached
 
-    def table(self, j: int) -> np.ndarray:
-        # more changes than the tables were built for cannot help
-        return self.tables[min(j, len(self.tables) - 1)]
-
     def best_mistakes(self, budgets: dict[int, int]) -> int:
         return min(
-            int(self.table(k)[0, _sign_index(f)]) for f, k in budgets.items()
+            int(self.tables[k][0, _sign_index(f)]) for f, k in budgets.items()
         )
 
     def _walk_cuts(self, best: int, first_sign: int, flips: int) -> tuple[float, ...]:
@@ -154,7 +150,6 @@ class _DpWorkspace:
         candidates = []
         for f, k in budgets.items():
             si = _sign_index(f)
-            k = min(k, len(self.tables) - 1)
             if int(self.tables[k][0, si]) != best:
                 continue
             flips = next(
@@ -191,7 +186,6 @@ class _DpWorkspace:
 
         for f, k in budgets.items():
             si = _sign_index(f)
-            k = min(k, len(self.tables) - 1)
             b0 = int(self.cs[0, si])
             if admissible(b0):
                 push((b0, 0, (), si, m), 0, None)

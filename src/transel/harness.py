@@ -117,9 +117,15 @@ class ExperimentConfig:
             raise ValueError("sample-size schedules must be nonempty")
         if not all(_is_int(n) and n >= 0 for n in self.n_source_grid + self.n_target_grid):
             raise ValueError("sample sizes must be nonnegative integers")
-        unknown = set(self.learners) - set(LEARNERS)
+        if not self.learners:
+            raise ValueError("learners must be nonempty")
+        unknown = [name for name in self.learners if name not in LEARNERS]
         if unknown:
             raise ValueError(f"unknown learners {sorted(unknown, key=repr)}")
+        if len(set(self.learners)) != len(self.learners):
+            raise ValueError("learners must not repeat")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError("out_dir must be a string or null")
 
     def to_dict(self) -> dict:
         return {
@@ -267,16 +273,6 @@ def _run_learner(learner, fit: Fit, oracle_level: int):
     return h, level, branch, wall
 
 
-def run_replicates(cfg: ExperimentConfig, cells=None) -> list[RunRecord]:
-    """Run every configured learner over the full (σ, n_P, n_Q, replicate) grid.
-
-    ``cells`` optionally passes in ``_cells(cfg)`` when the caller needs the
-    instances or their rate profiles too.  Record order is
-    (σ, n_P, n_Q, replicate, learner).
-    """
-    return list(_records(cfg, cells))
-
-
 def _cells(cfg: ExperimentConfig) -> dict[tuple[int, int], list]:
     """Every (n_source, n_target) cell of the grid: the family's instances,
     each paired with its rate profile at that cell, built once."""
@@ -291,15 +287,16 @@ def _cells(cfg: ExperimentConfig) -> dict[tuple[int, int], list]:
     }
 
 
-def _records(cfg: ExperimentConfig, cells=None, on_draw=None):
-    """Fit the configured learners and yield their records in record order.
+def run_replicates(cfg: ExperimentConfig, cells=None, on_draw=None) -> list[RunRecord]:
+    """Run every configured learner over the full (σ, n_P, n_Q, replicate) grid.
 
-    Each (σ, n_P, n_Q) cell yields one record per replicate and learner: all
-    learners of a replicate are fitted on one shared ``Fit``, and every fit
-    of the cell is scored by one exact-risk kernel call.  The oracle's level
-    is the best plain-rate level of the cell's rate profile.
-    ``on_draw(instance, s_p, s_q)`` sees each replicate's source and target
-    samples; no sample outlives its replicate.
+    Record order is (σ, n_P, n_Q, replicate, learner).  All learners of a
+    replicate are fitted on one shared ``Fit``, and every fit of a
+    (σ, n_P, n_Q) cell is scored by one exact-risk kernel call.  The oracle's
+    level is the best plain-rate level of the cell's rate profile.  ``cells``
+    optionally passes in ``_cells(cfg)`` when the caller needs the instances
+    or their rate profiles too.  ``on_draw(instance, s_p, s_q)`` sees each
+    replicate's source and target samples; no sample outlives its replicate.
     """
     if cells is None:
         cells = _cells(cfg)
@@ -308,6 +305,7 @@ def _records(cfg: ExperimentConfig, cells=None, on_draw=None):
         raise ValueError("instance count must not vary across the sample grid")
     n_instances = counts.pop()
 
+    records = []
     for idx in range(n_instances):
         for n_p in cfg.n_source_grid:
             for n_q in cfg.n_target_grid:
@@ -325,12 +323,13 @@ def _records(cfg: ExperimentConfig, cells=None, on_draw=None):
                     # free it before the next draw, not after.
                     del fit
                 excesses = _checked_excesses(instance, [h for _, _, h, *_ in fits])
-                yield from (
+                records += [
                     RunRecord(replicate=r, sigma=tag, n_source=n_p, n_target=n_q,
                               learner=learner, level=level, branch=branch, excess=excess,
                               wall_time=wall)
                     for (r, learner, _, level, branch, wall), excess in zip(fits, excesses)
-                )
+                ]
+    return records
 
 
 def _group_mean(records, key) -> dict:
@@ -401,7 +400,7 @@ def gap_demo(cfg: ExperimentConfig):
     def flag(inst, s_p, s_q):
         flags[_sigma_tag(inst)].append(families.event_b_holds(s_p, s_q))
 
-    records = list(_records(one_cell, cells, flag))
+    records = run_replicates(one_cell, cells, flag)
     rho_a, rho_b = instances[0].params["rho_a"], instances[0].params["rho_b"]
 
     per_sigma = _group_mean(records, lambda r: (r.learner, r.sigma))

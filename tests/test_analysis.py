@@ -3,7 +3,7 @@
 import dataclasses
 import math
 import warnings
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from transel.families import (
     build_gap_family,
     build_shifted_target,
     build_threshold_nn,
+    build_two_point_family,
 )
 
 from risk_oracle import disagreement_mass, expected_risk
@@ -89,11 +90,6 @@ class TestLevelMinimizers:
         # constant +1 mislabels half of the alternating target cells
         assert excess_risk(staircase, "Q", BoundaryHypothesis((), 1)) == pytest.approx(0.5)
 
-    def test_source_alias(self, staircase):
-        a = level_risk_minimizer(staircase, "P", 1)
-        b = level_risk_minimizer(staircase, "source", 1)
-        assert a == b
-
     def test_unknown_distribution_name(self, staircase):
         with pytest.raises(ValueError):
             level_risk_minimizer(staircase, "R", 1)
@@ -141,7 +137,11 @@ def _object_candidates(hierarchy, level, knots):
 
 def _object_minimizer(instance, which, level):
     dist = instance.source if which == "P" else instance.target
-    candidates = _object_candidates(instance.hierarchy, level, _interior_knots(instance))
+    if isinstance(instance.hierarchy, FiniteClassHierarchy):
+        candidates = list(instance.hierarchy.levels[level])
+    else:
+        candidates = _object_candidates(instance.hierarchy, level,
+                                        _interior_knots(instance.source, instance.target))
     risks = dist.expected_risks(candidates)
     best = risks.min()
     tied = [h for h, r in zip(candidates, risks) if r <= best + RISK_ATOL]
@@ -166,7 +166,7 @@ def _object_ratio_grid(instance, level):
     hierarchy = instance.hierarchy
     if isinstance(hierarchy, FiniteClassHierarchy):
         return list(hierarchy.levels[level])
-    knots = _interior_knots(instance)
+    knots = _interior_knots(instance.source, instance.target)
     lo = min(instance.source.support[0], instance.target.support[0])
     hi = max(instance.source.support[1], instance.target.support[1])
     sweep = np.linspace(lo, hi, 10_000 + 2)[1:-1]
@@ -238,11 +238,23 @@ class TestGridOracle:
         for inst in gap32:
             for level in (1, 2):
                 assert default_ratio_grid(inst, level) == _object_ratio_grid(inst, level)
+                for which in ("P", "Q"):
+                    assert level_risk_minimizer(inst, which, level) == _object_minimizer(
+                        inst, which, level)
         for inst in ext32:
             for level in (1, 2):
                 _assert_same_rows(default_ratio_grid(inst, level), _object_ratio_grid(inst, level))
                 _assert_same_rows(extended_gap_witness_grid(inst, level),
                                   _object_witness_grid(inst, level))
+                for which in ("P", "Q"):
+                    assert level_risk_minimizer(inst, which, level) == _object_minimizer(
+                        inst, which, level)
+
+    def test_finite_family_minimizers(self):
+        fixed = build_fixed_class_family(9, 0.5, 0.5, 2.0, 0.1, 1000, 100)
+        for inst in [*build_two_point_family(0.01, 50), *islice(fixed, 4)]:
+            levels = inst.hierarchy.levels
+            for level in levels:
                 for which in ("P", "Q"):
                     assert level_risk_minimizer(inst, which, level) == _object_minimizer(
                         inst, which, level)

@@ -104,13 +104,18 @@ class TestParsing:
             ({**_STAIRCASE, "base_seed": 5.0}, "error: base_seed must be an integer"),
             ({**_STAIRCASE, "base_seed": None}, "error: base_seed must be an integer"),
             ({**_STAIRCASE, "base_seed": True}, "error: base_seed must be an integer"),
+            ({**_STAIRCASE, "learners": [["oracle"]]}, r"error: unknown learners \[\['oracle'\]\]"),
+            ({**_STAIRCASE, "learners": []}, "error: learners must be nonempty"),
+            ({**_STAIRCASE, "learners": ["oracle", "oracle"]}, "error: learners must not repeat"),
+            ({**_STAIRCASE, "out_dir": 5}, "error: out_dir must be a string or null"),
         ],
         ids=["missing_family", "unknown_selection_key", "not_an_object", "grid_string",
              "replicates_string", "replicates_bool", "C_string", "budget_float", "selection_list",
              "params_list", "fractional_size", "rhos_string", "learners_mixed", "alpha_string",
              "d_string", "d_fractional", "rho_b_bool", "enforce_regime_string", "unknown_param",
              "coef_grid_outside_calibrate", "base_seed_string", "base_seed_float",
-             "base_seed_null", "base_seed_bool"],
+             "base_seed_null", "base_seed_bool", "learners_nested", "learners_empty",
+             "learners_repeated", "out_dir_number"],
     )
     def test_bad_config_is_one_line_error(self, tmp_path, payload, message):
         path = _write_cfg(tmp_path, "bad.json", payload)

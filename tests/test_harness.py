@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from transel import analysis, families, harness
-from transel.classifiers import BoundaryHypothesis
+from transel.classifiers import BoundaryGrid, BoundaryHypothesis
 from transel.distributions import DiscreteDistribution, PiecewiseDistribution
 from transel.erm import FiniteClassHierarchy, _NestedBoundaryHierarchy, erm_bruteforce
 from transel.families import event_b_probability
@@ -486,6 +486,21 @@ class TestGapDemo:
             gap_demo(cfg)
 
 
+# The verify configs of the benchmark's ``certify`` workload.
+_CERTIFY_CONFIGS = (
+    ExperimentConfig(kind="verify", family="threshold_nn", params={"rhos": [1.0]}),
+    ExperimentConfig(kind="verify", family="extended_gap", params={"rho_a": 4.0, "rho_b": 2.0},
+                     n_source_grid=(32768,), n_target_grid=(1,)),
+)
+
+
+def _verify_summary_sha256(family, params, n_source, n_target) -> str:
+    cfg = ExperimentConfig(kind="verify", family=family, params=params,
+                           n_source_grid=(n_source,), n_target_grid=(n_target,))
+    text = summary_json_text(run_experiment(cfg)[1])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class TestVerify:
     def test_two_point_suite_passes(self):
         cfg = ExperimentConfig(
@@ -515,21 +530,60 @@ class TestVerify:
         ids=["two_point", "fixed_class"],
     )
     def test_pinned_discrete_summary(self, family, params, n_source, n_target, sha256):
-        cfg = ExperimentConfig(kind="verify", family=family, params=params,
-                               n_source_grid=(n_source,), n_target_grid=(n_target,))
-        text = summary_json_text(run_experiment(cfg)[1])
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+        assert _verify_summary_sha256(family, params, n_source, n_target) == sha256
+
+    @pytest.mark.parametrize(
+        "family, params, n_source, n_target, sha256",
+        [
+            # the configs of scripts/verify_constructions.py
+            ("threshold_nn", {"rhos": [1.0, 2.0, 4.0]}, 1000, 100,
+             "dcfcfdf2c1c006de24742408a52f3e9a79d6c91f857fcd58b83122ed52b81ed6"),
+            ("shifted_target", {"rhos": [1.0, 1.0, 2.0]}, 1000, 100,
+             "d2af3abc718b5209aebca6f7df19a336bc3694342b5b0999d82cc081de4ce5c8"),
+            ("gap", {"rho_a": 2.0, "rho_b": 1.0}, 32, 1,
+             "d39c0e257961d1b82b525b62081e7a923ef22a1c6aa28e2f34ea73dd104a3be6"),
+            ("extended_gap", {"rho_a": 4.0, "rho_b": 2.0}, 32768, 1,
+             "4f15ad7114a3b137d0d2642de4205500a8a0149a46b8cdfda59a0ea71a21de17"),
+        ],
+        ids=["threshold_nn", "shifted_target", "gap", "extended_gap"],
+    )
+    def test_pinned_piecewise_summary(self, family, params, n_source, n_target, sha256):
+        assert _verify_summary_sha256(family, params, n_source, n_target) == sha256
+
+    def test_certify_finds_each_reference_once(self, monkeypatch):
+        # The one-level staircase has the (side, level) keys (P, 1) and
+        # (Q, 1); each of extended_gap's four instances has (P, 1), (P, 2)
+        # and (Q, 2), its top level.
+        references = 2 + 4 * 3
+        one_row = [_count_calls(monkeypatch, (PiecewiseDistribution, DiscreteDistribution), name)
+                   for name in ("expected_risk", "disagreement_mass")]
+        enumerations = []
+        of_budgets = BoundaryGrid.of_budgets
+
+        def counted_of_budgets(budgets, positions):
+            enumerations.append(budgets)
+            return of_budgets(budgets, positions)
+
+        monkeypatch.setattr(BoundaryGrid, "of_budgets", staticmethod(counted_of_budgets))
+        grids = []
+        default_ratio_grid = analysis.default_ratio_grid
+
+        def counted_grid(instance, level):
+            grids.append(level)
+            return default_ratio_grid(instance, level)
+
+        monkeypatch.setattr(analysis, "default_ratio_grid", counted_grid)
+        for cfg in _CERTIFY_CONFIGS:
+            assert verify_construction(cfg)["all_pass"] is True
+        assert one_row == [[], []]
+        assert grids == [1]
+        assert len(enumerations) <= references + len(grids)
 
     def test_certify_builds_few_hypothesis_objects(self, monkeypatch):
         # Grids are arrays; objects are built only for minimizers and witnesses
         # (about 110,500 per run when every grid row was one).
         built = _count_calls(monkeypatch, (BoundaryHypothesis,), "__init__")
-        for cfg in (
-            ExperimentConfig(kind="verify", family="threshold_nn", params={"rhos": [1.0]}),
-            ExperimentConfig(kind="verify", family="extended_gap",
-                             params={"rho_a": 4.0, "rho_b": 2.0},
-                             n_source_grid=(32768,), n_target_grid=(1,)),
-        ):
+        for cfg in _CERTIFY_CONFIGS:
             assert verify_construction(cfg)["all_pass"] is True
         assert 0 < len(built) <= 60
 
