@@ -41,6 +41,7 @@ __all__ = [
     "excess_risks",
     "extended_gap_witness_grid",
     "global_optimal_risk",
+    "level_reference",
     "level_risk_minimizer",
     "rate_profile",
     "verify_bcc",
@@ -104,10 +105,16 @@ def _reference(source, target, hierarchy, which: str, level: int):
     return candidates[i], float(risks_p[i]), float(risks_q[i])
 
 
+def level_reference(instance: TransferInstance, which: str, level: int):
+    """The level's one exact reference ``(h, risk_p, risk_q)``: its risk
+    minimizer on side ``which``, under the tie rule of :func:`_reference`,
+    with the minimizer's source and target risks."""
+    return _reference(instance.source, instance.target, instance.hierarchy, which, level)
+
+
 def level_risk_minimizer(instance: TransferInstance, which: str, level: int):
-    """Exact risk minimizer within the level's class, under the tie rule of
-    :func:`_reference`."""
-    return _reference(instance.source, instance.target, instance.hierarchy, which, level)[0]
+    """The minimizer of :func:`level_reference`."""
+    return level_reference(instance, which, level)[0]
 
 
 def global_optimal_risk(instance: TransferInstance, which: str, recompute: bool = False) -> float:
@@ -118,8 +125,7 @@ def global_optimal_risk(instance: TransferInstance, which: str, recompute: bool 
     """
     if not recompute:
         return _side(which, instance.optimal_risk_source, instance.optimal_risk_target)
-    _, risk_p, risk_q = _reference(
-        instance.source, instance.target, instance.hierarchy, which, instance.hierarchy.max_level)
+    _, risk_p, risk_q = level_reference(instance, which, instance.hierarchy.max_level)
     return _side(which, risk_p, risk_q)
 
 
@@ -229,7 +235,7 @@ class TransferExponentEstimate:
 
 
 def _excess_arrays(instance, level, grid):
-    _, ref_p, ref_q = _reference(instance.source, instance.target, instance.hierarchy, "P", level)
+    _, ref_p, ref_q = level_reference(instance, "P", level)
     e_p = instance.source.expected_risks(grid) - ref_p
     e_q = instance.target.expected_risks(grid) - ref_q
     np.maximum(e_p, 0.0, out=e_p)
@@ -340,8 +346,7 @@ def verify_bcc(
         grid = default_ratio_grid(instance, level)
     elif not isinstance(grid, BoundaryGrid):
         grid = list(grid)
-    ref, risk_p, risk_q = _reference(instance.source, instance.target, instance.hierarchy,
-                                     which, level)
+    ref, risk_p, risk_q = level_reference(instance, which, level)
     dis = dist.disagreement_masses(grid, ref)
     exc = np.maximum(dist.expected_risks(grid) - _side(which, risk_p, risk_q), 0.0)
     live = dis >= RISK_ATOL

@@ -89,7 +89,7 @@ def _report(cfg: ExperimentConfig, summary: dict) -> int:
         print(f"verify {cfg.family}: {summary['checks']} checks {status}")
         for name in summary["failures"]:
             print(f"  failed: {name}")
-        return 0
+        return 0 if summary["all_pass"] else 1
     if kind == "erm_check":
         if summary["ok"]:
             print(f"erm-check: {summary['cases']} cases, all matched")

@@ -462,7 +462,7 @@ def gap_demo(cfg: ExperimentConfig):
     return records, summary
 
 
-def _entry(name, sigma, level, measured, target, ok) -> dict:
+def _entry(sigma, name, level, measured, target, ok) -> dict:
     return {
         "property": name,
         "sigma": sigma,
@@ -473,164 +473,159 @@ def _entry(name, sigma, level, measured, target, ok) -> dict:
     }
 
 
-def _verify_common(inst, entries, sigma: str):
-    for which, stored in (("P", inst.optimal_risk_source), ("Q", inst.optimal_risk_target)):
-        re = analysis.global_optimal_risk(inst, which, recompute=True)
-        entries.append(
-            _entry(f"optimal_risk_{which}_recomputed", sigma, None, re, stored, abs(re - stored) < 1e-12)
-        )
+def _close(name, level, measured, target, tol=1e-12) -> tuple:
+    return name, level, measured, target, abs(measured - target) < tol
 
 
-def _verify_threshold_nn(cfg: ExperimentConfig, entries: list):
-    (inst,) = build_family("threshold_nn", cfg.params, 1, 1)
-    levels = sorted(inst.truth)
-    L = max(levels)
-    cuts = inst.params["anchors"]
-    _verify_common(inst, entries, "")
-    for i in levels:
-        h = analysis.level_risk_minimizer(inst, "P", i)
-        entries.append(
-            _entry("source_minimizer_boundaries", "", i, list(h.boundaries), list(cuts[:i]),
-                   h.boundaries == tuple(cuts[:i]) and h.first_sign == 1)
-        )
-        exc = analysis.excess_risk(inst, "Q", h)
-        want = inst.truth[i].excess_q_of_source_opt
-        entries.append(_entry("source_opt_target_excess", "", i, exc, want, abs(exc - want) < 1e-12))
-        rho = inst.truth[i].rho
-        grid = analysis.default_ratio_grid(inst, i)
-        est = analysis.estimate_transfer_exponent(
-            inst, i, candidate_rhos=(max(rho - 0.25, 0.05), rho), grid=grid)
-        entries.append(_entry("exponent_selected", "", i, est.rho_hat, rho, est.rho_hat == rho))
-        below = dict(est.candidate_consts).get(max(rho - 0.25, 0.05), math.inf)
-        entries.append(_entry("exponent_minimality_diagnostic", "", i, below, ">1e2", below > 1e2))
-        bcc = analysis.verify_bcc(inst, "P", i, grid=grid)
-        entries.append(_entry("bcc_source_confirmed", "", i, bcc.sup_ratio, "finite", bcc.confirmed))
-    stair = [inst.truth[i].excess_q_of_source_opt for i in levels]
-    strictly = all(a > b for a, b in zip(stair, stair[1:]))
-    nonincreasing = all(a >= b for a, b in zip(stair, stair[1:]))
-    entries.append(_entry("target_excess_nonincreasing", "", None, stair, "nonincreasing", nonincreasing))
-    # Strictness is an open reading of the construction; measured, not asserted.
-    entries.append(_entry("target_excess_strictly_decreasing_measured", "", None, strictly, None, True))
-    entries.append(_entry("i_star", "", None, [inst.i_star_source, inst.i_star_target], [L, L],
-                          inst.i_star_source == L and inst.i_star_target == L))
+def _no_checks(*_) -> list:
+    return []
 
 
-def _verify_shifted(cfg: ExperimentConfig, entries: list):
-    (inst,) = build_family("shifted_target", cfg.params, 1, 1)
-    _verify_common(inst, entries, "")
-    excs = [
-        analysis.excess_risk(inst, "Q", analysis.level_risk_minimizer(inst, "P", i))
-        for i in sorted(inst.truth)
+def _staircase_level(inst, i, h, exc) -> list:
+    cuts = inst.params["anchors"][:i]
+    t = inst.truth[i]
+    below = max(t.rho - 0.25, 0.05)
+    grid = analysis.default_ratio_grid(inst, i)
+    est = analysis.estimate_transfer_exponent(
+        inst, i, candidate_rhos=(below, t.rho), grid=grid)
+    const_below = dict(est.candidate_consts).get(below, math.inf)
+    bcc = analysis.verify_bcc(inst, "P", i, grid=grid)
+    return [
+        ("source_minimizer_boundaries", i, list(h.boundaries), list(cuts),
+         h.boundaries == tuple(cuts) and h.first_sign == 1),
+        _close("source_opt_target_excess", i, exc, t.excess_q_of_source_opt),
+        ("exponent_selected", i, est.rho_hat, t.rho, est.rho_hat == t.rho),
+        ("exponent_minimality_diagnostic", i, const_below, ">1e2", const_below > 1e2),
+        ("bcc_source_confirmed", i, bcc.sup_ratio, "finite", bcc.confirmed),
     ]
-    spread = max(excs) - min(excs)
-    entries.append(_entry("three_way_excess_equality", "", None, excs, "equal", spread < 1e-12))
-    n_p = max(cfg.n_source_grid)
-    n_q = cfg.n_target_grid[0]
-    prof = analysis.rate_profile(inst, n_p, n_q, delta=cfg.selection.delta)
-    entries.append(_entry("best_level_below_top", "", None, prof.i_best_conf, "< 3",
-                          prof.i_best_conf < max(inst.truth)))
 
 
-def _verify_gap_like(cfg: ExperimentConfig, entries: list):
-    n_p = cfg.n_source_grid[0]
-    n_q = cfg.n_target_grid[0]
-    instances = build_family(cfg.family, cfg.params, n_p, n_q)
+def _staircase_instance(inst, excs, cfg) -> list:
+    stair = [inst.truth[i].excess_q_of_source_opt for i in sorted(inst.truth)]
+    steps = list(zip(stair, stair[1:]))
+    top, stars = max(inst.truth), [inst.i_star_source, inst.i_star_target]
+    return [
+        ("target_excess_nonincreasing", None, stair, "nonincreasing",
+         all(a >= b for a, b in steps)),
+        # Strictness is an open reading of the construction; measured, not asserted.
+        ("target_excess_strictly_decreasing_measured", None, all(a > b for a, b in steps),
+         None, True),
+        ("i_star", None, stars, [top, top], stars == [top, top]),
+    ]
+
+
+def _shifted_instance(inst, excs, cfg) -> list:
+    prof = analysis.rate_profile(inst, max(cfg.n_source_grid), cfg.n_target_grid[0],
+                                 delta=cfg.selection.delta)
+    return [
+        ("three_way_excess_equality", None, excs, "equal", max(excs) - min(excs) < 1e-12),
+        ("best_level_below_top", None, prof.i_best_conf, "< 3",
+         prof.i_best_conf < max(inst.truth)),
+    ]
+
+
+def _gap_facts(instances, cfg) -> list:
     analytic = families.event_b_probability(instances[0])
-    entries.append(_entry("event_b_analytic", "", None, analytic, ">= 7/8", analytic >= 7.0 / 8.0))
-    for inst in instances:
-        tag = _sigma_tag(inst)
-        _verify_common(inst, entries, tag)
-        for i in sorted(inst.truth):
-            h = analysis.level_risk_minimizer(inst, "P", i)
-            exc = analysis.excess_risk(inst, "Q", h)
-            entries.append(_entry("source_opt_target_excess_zero", tag, i, exc, 0.0, abs(exc) < 1e-12))
-            rho = inst.truth[i].rho
-            grid = (
-                analysis.extended_gap_witness_grid(inst, i)
-                if cfg.family == "extended_gap"
-                else None
-            )
-            est = analysis.estimate_transfer_exponent(inst, i, candidate_rhos=(rho,), grid=grid)
-            entries.append(_entry("unit_transfer_coefficient", tag, i, est.c_hat, "<= 1+1e-6",
-                                  est.c_hat <= 1.0 + 1e-6))
-        prof = analysis.rate_profile(inst, n_p, n_q, delta=cfg.selection.delta)
-        if cfg.family == "gap":
-            # Unit VC dims collapse the fast arm to the bare rate, bit for bit.
-            want = (1.0 / n_p) ** (1.0 / inst.params["rho_b"])
-        else:
-            want = min(
-                (inst.hierarchy.vc_dim(i) / n_p) ** (1.0 / inst.truth[i].rho)
-                for i in sorted(inst.truth)
-            )
-        got = min(prof.rates_plain.values())
-        entries.append(_entry("min_rate_plain_exact", tag, None, got, want, got == want))
-        entries.append(_entry("i_star", tag, None, [inst.i_star_source, inst.i_star_target], [2, 1],
-                              inst.i_star_source == 2 and inst.i_star_target == 1))
+    return [("event_b_analytic", None, analytic, ">= 7/8", analytic >= 7.0 / 8.0)]
 
 
-def _verify_two_point(cfg: ExperimentConfig, entries: list):
-    n_q = cfg.n_target_grid[0]
-    instances = build_family("two_point", cfg.params, 1, n_q)
-    alpha = instances[0].params["alpha"]
-    if n_q >= 1:
-        p_all_heavy = (1.0 - alpha) ** n_q
-        entries.append(_entry("all_mass_at_heavy_point", "", None, p_all_heavy, ">= 1/2",
-                              p_all_heavy >= 0.5))
-    for inst in instances:
-        tag = _sigma_tag(inst)
-        _verify_common(inst, entries, tag)
-        excs = [
-            analysis.excess_risk(inst, "Q", analysis.level_risk_minimizer(inst, "P", i))
-            for i in sorted(inst.truth)
-        ]
-        entries.append(_entry("max_source_opt_target_excess", tag, None, max(excs), alpha,
-                              abs(max(excs) - alpha) < 1e-12))
-        entries.append(_entry("target_optimal_level", tag, None, inst.i_star_target,
-                              inst.params["target_optimal_level"],
-                              inst.i_star_target == inst.params["target_optimal_level"]))
+def _gap_level(inst, i, h, exc) -> list:
+    grid = analysis.extended_gap_witness_grid(inst, i) if inst.family == "extended_gap" else None
+    est = analysis.estimate_transfer_exponent(
+        inst, i, candidate_rhos=(inst.truth[i].rho,), grid=grid)
+    return [
+        _close("source_opt_target_excess_zero", i, exc, 0.0),
+        ("unit_transfer_coefficient", i, est.c_hat, "<= 1+1e-6", est.c_hat <= 1.0 + 1e-6),
+    ]
 
 
-def _verify_fixed_class(cfg: ExperimentConfig, entries: list):
+def _gap_instance(inst, excs, cfg) -> list:
     n_p = cfg.n_source_grid[0]
+    prof = analysis.rate_profile(inst, n_p, cfg.n_target_grid[0], delta=cfg.selection.delta)
+    if inst.family == "gap":
+        # Unit VC dims collapse the fast arm to the bare rate, bit for bit.
+        want = (1.0 / n_p) ** (1.0 / inst.params["rho_b"])
+    else:
+        want = min((inst.hierarchy.vc_dim(i) / n_p) ** (1.0 / inst.truth[i].rho)
+                   for i in sorted(inst.truth))
+    got, stars = min(prof.rates_plain.values()), [inst.i_star_source, inst.i_star_target]
+    return [
+        ("min_rate_plain_exact", None, got, want, got == want),
+        ("i_star", None, stars, [2, 1], stars == [2, 1]),
+    ]
+
+
+def _two_point_facts(instances, cfg) -> list:
     n_q = cfg.n_target_grid[0]
-    instances = build_family("fixed_class", cfg.params, n_p, n_q)
-    # The sign index is exponential in d; verify a deterministic subset.
-    subset = instances[:4] + instances[-1:]
-    for inst in subset:
-        tag = _sigma_tag(inst)
-        _verify_common(inst, entries, tag)
-        t = inst.truth[1]
-        est = analysis.estimate_transfer_exponent(
-            inst, 1, candidate_rhos=(t.rho,), stable_cap=math.inf
-        )
-        entries.append(_entry("stored_transfer_coefficient", tag, 1, est.c_hat, t.rho_const,
-                              abs(est.c_hat - t.rho_const) < 1e-9))
-        bcc = analysis.verify_bcc(inst, "Q", 1)
-        entries.append(_entry("stored_bcc_coefficient", tag, 1, bcc.sup_ratio,
-                              inst.params["bcc_const_target"],
-                              abs(bcc.sup_ratio - inst.params["bcc_const_target"]) < 1e-9))
-        h = analysis.level_risk_minimizer(inst, "P", 1)
-        exc = analysis.excess_risk(inst, "Q", h)
-        entries.append(_entry("source_opt_target_excess", tag, 1, exc, t.excess_q_of_source_opt,
-                              abs(exc - t.excess_q_of_source_opt) < 1e-12))
+    if n_q < 1:
+        return []
+    p_all_heavy = (1.0 - instances[0].params["alpha"]) ** n_q
+    return [("all_mass_at_heavy_point", None, p_all_heavy, ">= 1/2", p_all_heavy >= 0.5)]
 
 
-VERIFY_SUITES = {
-    "threshold_nn": _verify_threshold_nn,
-    "shifted_target": _verify_shifted,
-    "gap": _verify_gap_like,
-    "extended_gap": _verify_gap_like,
-    "two_point": _verify_two_point,
-    "fixed_class": _verify_fixed_class,
+def _two_point_instance(inst, excs, cfg) -> list:
+    want = inst.params["target_optimal_level"]
+    return [
+        _close("max_source_opt_target_excess", None, max(excs), inst.params["alpha"]),
+        ("target_optimal_level", None, inst.i_star_target, want, inst.i_star_target == want),
+    ]
+
+
+def _fixed_class_level(inst, i, h, exc) -> list:
+    t = inst.truth[i]
+    est = analysis.estimate_transfer_exponent(
+        inst, i, candidate_rhos=(t.rho,), stable_cap=math.inf)
+    bcc = analysis.verify_bcc(inst, "Q", i)
+    return [
+        _close("stored_transfer_coefficient", i, est.c_hat, t.rho_const, 1e-9),
+        _close("stored_bcc_coefficient", i, bcc.sup_ratio, inst.params["bcc_const_target"], 1e-9),
+        _close("source_opt_target_excess", i, exc, t.excess_q_of_source_opt),
+    ]
+
+
+# Each family's checks, as (property, level, measured, target, pass) tuples:
+# ``facts(instances, cfg)`` once, before any instance; ``level(inst, i, h,
+# excess)`` on each level's source minimizer h and h's exact target excess;
+# ``instance(inst, excesses, cfg)`` after an instance's levels, with their
+# excesses in level order.
+VERIFY_SUITES = {  # family: (facts, level, instance)
+    "threshold_nn": (_no_checks, _staircase_level, _staircase_instance),
+    "shifted_target": (_no_checks, _no_checks, _shifted_instance),
+    "gap": (_gap_facts, _gap_level, _gap_instance),
+    "extended_gap": (_gap_facts, _gap_level, _gap_instance),
+    "two_point": (_two_point_facts, _no_checks, _two_point_instance),
+    "fixed_class": (_no_checks, _fixed_class_level, _no_checks),
 }
 
 
 def verify_construction(cfg: ExperimentConfig) -> dict:
-    """Run the per-family property suite; failures are entries, not aborts."""
-    entries: list[dict] = []
+    """Run the family's property suite; failures are entries, not aborts.
+
+    One loop serves every family: it rechecks each instance's optimal risks
+    and reads each level's source reference (``analysis.level_reference``),
+    whose target excess is its target risk minus the stored optimum.
+    """
     if cfg.family not in VERIFY_SUITES:
         raise ValueError(f"unknown family {cfg.family!r}")
-    VERIFY_SUITES[cfg.family](cfg, entries)
+    facts, level_checks, instance_checks = VERIFY_SUITES[cfg.family]
+    instances = build_family(cfg.family, cfg.params, cfg.n_source_grid[0], cfg.n_target_grid[0])
+    if cfg.family == "fixed_class":
+        # The sign index is exponential in d; verify a deterministic subset.
+        instances = instances[:4] + instances[-1:]
+    entries = [_entry("", *check) for check in facts(instances, cfg)]
+    for inst in instances:
+        checks = [
+            _close(f"optimal_risk_{which}_recomputed", None,
+                   analysis.global_optimal_risk(inst, which, recompute=True), stored)
+            for which, stored in (("P", inst.optimal_risk_source), ("Q", inst.optimal_risk_target))
+        ]
+        excs = []
+        for i in sorted(inst.truth):
+            h, _, risk_q = analysis.level_reference(inst, "P", i)
+            excs.append(risk_q - inst.optimal_risk_target)
+            checks += level_checks(inst, i, h, excs[-1])
+        checks += instance_checks(inst, excs, cfg)
+        entries += [_entry(_sigma_tag(inst), *check) for check in checks]
     failed = [e["property"] for e in entries if not e["pass"]]
     return {
         "kind": "verify",

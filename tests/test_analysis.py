@@ -16,6 +16,7 @@ from transel.analysis import (
     excess_risk,
     extended_gap_witness_grid,
     global_optimal_risk,
+    level_reference,
     level_risk_minimizer,
     rate_profile,
     verify_bcc,
@@ -258,6 +259,22 @@ class TestGridOracle:
                 for which in ("P", "Q"):
                     assert level_risk_minimizer(inst, which, level) == _object_minimizer(
                         inst, which, level)
+
+
+class TestLevelReference:
+    def test_holds_the_minimizers_exact_risks(self, gap32, ext32):
+        fixed = build_fixed_class_family(9, 0.5, 0.5, 2.0, 0.1, 1000, 100)
+        instances = [build_threshold_nn((1.0, 2.0, 4.0)), build_shifted_target(), *gap32,
+                     *ext32, *build_two_point_family(0.01, 50), *islice(fixed, 2)]
+        for inst in instances:
+            for level in inst.truth:
+                for which in ("P", "Q"):
+                    h, risk_p, risk_q = level_reference(inst, which, level)
+                    assert h == level_risk_minimizer(inst, which, level)
+                    assert risk_p == expected_risk(inst.source, h)
+                    assert risk_q == expected_risk(inst.target, h)
+                    # the verify loop's target excess, bit for bit
+                    assert risk_q - inst.optimal_risk_target == excess_risk(inst, "Q", h)
 
 
 class TestTransferExponent:

@@ -259,6 +259,24 @@ class TestSummaryOnlyCommands:
         assert summary["all_pass"] is True
         assert "verify two_point: 9 checks PASS" in capsys.readouterr().out
 
+    def test_verify_failure_exit_code(self, tmp_path, capsys):
+        # rhos (1, 8) fails 4 of its 15 checks
+        cfg = _write_cfg(
+            tmp_path,
+            "verify.json",
+            {
+                "kind": "verify",
+                "family": "threshold_nn",
+                "params": {"rhos": [1.0, 8.0]},
+                "n_source_grid": [1000],
+                "n_target_grid": [100],
+            },
+        )
+        assert main(["verify", "--config", cfg]) == 1
+        stdout = capsys.readouterr().out
+        assert "verify threshold_nn: 15 checks FAIL" in stdout
+        assert stdout.count("  failed: ") == 4
+
     def test_erm_check_runs_without_config(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["erm-check", "--seed", "4", "--out", str(out)])
