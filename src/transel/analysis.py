@@ -117,16 +117,9 @@ def level_risk_minimizer(instance: TransferInstance, which: str, level: int):
     return level_reference(instance, which, level)[0]
 
 
-def global_optimal_risk(instance: TransferInstance, which: str, recompute: bool = False) -> float:
-    """Best risk over the full hierarchy; stored exactly by every factory.
-
-    ``recompute=True`` rederives it from the top-level minimizer search, which
-    tests use to cross-check the stored values.
-    """
-    if not recompute:
-        return _side(which, instance.optimal_risk_source, instance.optimal_risk_target)
-    _, risk_p, risk_q = level_reference(instance, which, instance.hierarchy.max_level)
-    return _side(which, risk_p, risk_q)
+def global_optimal_risk(instance: TransferInstance, which: str) -> float:
+    """Best risk over the full hierarchy; stored exactly by every factory."""
+    return _side(which, instance.optimal_risk_source, instance.optimal_risk_target)
 
 
 def excess_risks(instance: TransferInstance, which: str, hs) -> np.ndarray:

@@ -3,10 +3,7 @@
 The basic object is a sign classifier on the real line described by a sorted
 tuple of decision boundaries plus the sign taken left of all of them.  A point
 that coincides with a boundary receives the label of the interval to its left.
-Tabular classifiers over a finite support and continuous piecewise-linear
-(CPWL) surrogates round out the family: every boundary classifier is the sign
-of a CPWL function, and every CPWL function is expressible with one linear
-term plus hinge units, which is what a one-hidden-layer ReLU network computes.
+Tabular classifiers over a finite support round out the family.
 """
 
 from __future__ import annotations
@@ -16,8 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-CONTINUITY_TOL = 1e-9
 
 
 def _as_float_tuple(values) -> tuple[float, ...]:
@@ -213,112 +208,3 @@ class TabularHypothesis:
         cuts = np.nonzero(labels[1:] != labels[:-1])[0] + 1
         return tuple(cuts.tolist()), int(labels[0]) if labels.size else 1
 
-
-@dataclass(frozen=True)
-class CpwlFunction:
-    """Continuous piecewise-linear function on the real line.
-
-    Piece i applies on [knots[i-1], knots[i]] (unbounded at the ends); pieces
-    must agree at the knots to within a 1e-9 relative tolerance.
-    """
-
-    knots: tuple[float, ...]
-    slopes: tuple[float, ...]
-    intercepts: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "knots", _as_float_tuple(self.knots))
-        object.__setattr__(self, "slopes", _as_float_tuple(self.slopes))
-        object.__setattr__(self, "intercepts", _as_float_tuple(self.intercepts))
-        k = self.knots
-        if len(self.slopes) != len(k) + 1 or len(self.intercepts) != len(k) + 1:
-            raise ValueError("need exactly one more piece than knots")
-        if any(k[i] >= k[i + 1] for i in range(len(k) - 1)):
-            raise ValueError("knots must be strictly increasing")
-        for i, t in enumerate(k):
-            left = self.slopes[i] * t + self.intercepts[i]
-            right = self.slopes[i + 1] * t + self.intercepts[i + 1]
-            scale = max(1.0, abs(left), abs(right))
-            if abs(left - right) > CONTINUITY_TOL * scale:
-                raise ValueError(f"pieces {i} and {i + 1} disagree at knot {t}")
-
-    @property
-    def piece_count(self) -> int:
-        return len(self.slopes)
-
-    def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        idx = np.searchsorted(np.asarray(self.knots), xs, side="left")
-        slopes = np.asarray(self.slopes)[idx]
-        intercepts = np.asarray(self.intercepts)[idx]
-        return slopes * xs + intercepts
-
-    def __call__(self, x: float) -> float:
-        return float(self.evaluate_many(np.asarray([x]))[0])
-
-
-def to_cpwl(h: BoundaryHypothesis) -> CpwlFunction:
-    """CPWL function whose sign realizes ``h`` away from its boundaries.
-
-    Each piece is the line through one boundary's zero crossing and the
-    adjacent interval's midpoint sign value, so the function vanishes exactly
-    at the boundaries and has at most boundary_count + 1 pieces.
-    """
-    b = h.boundaries
-    k = len(b)
-    if k == 0:
-        raise ValueError("constant classifiers have no boundary to interpolate")
-    if k == 1:
-        slope = -float(h.first_sign)
-        return CpwlFunction(knots=(), slopes=(slope,), intercepts=(-slope * b[0],))
-    mids = [(b[j] + b[j + 1]) / 2.0 for j in range(k - 1)]
-    # sign of the interval (b[j], b[j+1])
-    interval_sign = [h.first_sign * (-1) ** (j + 1) for j in range(k - 1)]
-    slopes = []
-    intercepts = []
-    for j in range(k - 1):
-        m = interval_sign[j] / (mids[j] - b[j])
-        slopes.append(m)
-        intercepts.append(-m * b[j])
-    m_last = -interval_sign[k - 2] / (b[k - 1] - mids[k - 2])
-    slopes.append(m_last)
-    intercepts.append(-m_last * b[k - 1])
-    knots = []
-    for j in range(k - 1):
-        knots.append((intercepts[j + 1] - intercepts[j]) / (slopes[j] - slopes[j + 1]))
-    return CpwlFunction(knots=tuple(knots), slopes=tuple(slopes), intercepts=tuple(intercepts))
-
-
-@dataclass(frozen=True)
-class ReluParams:
-    """One-hidden-layer ReLU representation c0 + m0*x + sum_i a_i * max(0, x - t_i)."""
-
-    intercept: float
-    linear_coef: float
-    knots: tuple[float, ...]
-    hinge_coefs: tuple[float, ...]
-
-    def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        out = self.intercept + self.linear_coef * xs
-        for t, a in zip(self.knots, self.hinge_coefs):
-            out = out + a * np.maximum(0.0, xs - t)
-        return out
-
-    def __call__(self, x: float) -> float:
-        return float(self.evaluate_many(np.asarray([x]))[0])
-
-
-def cpwl_to_relu_params(f: CpwlFunction) -> ReluParams:
-    """Hinge expansion of a CPWL function.
-
-    The coefficient at each knot is the slope change across it, which is the
-    unique choice that reproduces f pointwise.
-    """
-    coefs = tuple(f.slopes[i + 1] - f.slopes[i] for i in range(len(f.knots)))
-    return ReluParams(
-        intercept=f.intercepts[0],
-        linear_coef=f.slopes[0],
-        knots=f.knots,
-        hinge_coefs=coefs,
-    )

@@ -32,7 +32,7 @@ from .erm import (
     FiniteClassHierarchy,
     OneSidedThresholdHierarchy,
 )
-from .selection import _is_int, _is_number
+from .selection import _is_finite, _is_int, _is_number
 
 GAP_SCALE = 32.0
 # The gap families' support [1/9, 1] cut into five intervals: outer left,
@@ -147,6 +147,8 @@ def _staircase_source(rhos):
         w_left = anchors[k] - edges[k]
         w_right = edges[k + 1] - anchors[k]
         raw.append((scale * w_left**rho, scale * w_right**rho))
+        if 0.0 in raw[-1]:
+            raise ValueError(f"level {i}'s source mass underflows to 0 at rho {rho:g}")
     z = math.fsum(m for pair in raw for m in pair)
     segs = []
     for k, rho in enumerate(rhos):
@@ -522,22 +524,25 @@ def build_fixed_class_family(d, beta_p, beta_q, rho, alpha, n_source, n_target, 
     return generate()
 
 
-def _param_type(what, ok, convert):
+def _param_type(what, ok, convert, finite=lambda v: True):
     def check(name, value):
         if not ok(value):
             raise ValueError(f"{name} must be {what}")
+        if not finite(value):
+            raise ValueError(f"{name} must be finite")
         return convert(value)
 
     return check
 
 
-NUMBER = _param_type("a number", _is_number, float)
+NUMBER = _param_type("a number", _is_number, float, _is_finite)
 INTEGER = _param_type("an integer", _is_int, int)
 FLAG = _param_type("true or false", lambda v: isinstance(v, bool), bool)
 NUMBERS = _param_type(
     "a list of numbers",
     lambda v: isinstance(v, (list, tuple)) and all(_is_number(r) for r in v),
     lambda v: tuple(float(r) for r in v),
+    lambda v: all(map(_is_finite, v)),
 )
 
 

@@ -40,6 +40,10 @@ def _is_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    return abs(v) < 2**1024  # the float range, compared exactly: NaN, inf and huge ints fail
+
+
 def complexity_term(n: int, delta: float, d: int) -> float:
     """(d * ln(n/d) + ln(1/delta)) / n with the log term clamped at zero."""
     if n < 1:
@@ -87,6 +91,8 @@ class SelectionConfig:
     def __post_init__(self):
         if not all(_is_number(v) for v in (self.C, self.c, self.delta)):
             raise ValueError("C, c and delta must be numbers")
+        if not (_is_finite(self.C) and _is_finite(self.c)):
+            raise ValueError("C and c must be finite")
         if not _is_int(self.budget) or not (self.L_max is None or _is_int(self.L_max)):
             raise ValueError("budget and L_max must be integers")
         if self.C <= 0 or self.c <= 0:

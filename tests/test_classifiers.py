@@ -1,4 +1,4 @@
-"""Boundary classifiers, their enumeration and VC dimension, and CPWL/ReLU surrogates."""
+"""Boundary classifiers, their enumeration and VC dimension."""
 
 import itertools
 import math
@@ -11,12 +11,9 @@ from hypothesis import given, settings
 from transel.classifiers import (
     BoundaryGrid,
     BoundaryHypothesis,
-    CpwlFunction,
     TabularHypothesis,
-    cpwl_to_relu_params,
     disagreement_count,
     midpoints,
-    to_cpwl,
 )
 from transel.distributions import LabeledSample
 from transel.erm import BoundaryClassHierarchy, FiniteClassHierarchy
@@ -261,70 +258,6 @@ class TestVcDimension:
     def test_negative_level_raises(self):
         with pytest.raises(ValueError):
             BoundaryClassHierarchy(max_level=4).vc_dim(-1)
-
-
-def _random_hypothesis(rng: np.random.Generator) -> BoundaryHypothesis:
-    k = int(rng.integers(1, 6))
-    cuts = np.sort(rng.uniform(-3.0, 3.0, size=k))
-    while np.any(np.diff(cuts) < 1e-3):
-        cuts = np.sort(rng.uniform(-3.0, 3.0, size=k))
-    return BoundaryHypothesis(tuple(cuts), int(rng.choice([-1, 1])))
-
-
-class TestCpwlSurrogate:
-    def test_single_boundary(self):
-        f = to_cpwl(BoundaryHypothesis((0.3,), 1))
-        assert f(0.3) == pytest.approx(0.0, abs=1e-15)
-        assert f(0.0) > 0 and f(1.0) < 0
-
-    def test_vanishes_at_boundaries(self):
-        h = BoundaryHypothesis((-1.0, 0.5, 2.0), -1)
-        f = to_cpwl(h)
-        for b in h.boundaries:
-            assert f(b) == pytest.approx(0.0, abs=1e-12)
-
-    def test_sign_matches_away_from_boundaries(self):
-        rng = np.random.default_rng(2024_09)
-        xs = np.linspace(-4.0, 4.0, 801)
-        for _ in range(40):
-            h = _random_hypothesis(rng)
-            f = to_cpwl(h)
-            far = np.min(np.abs(xs[:, None] - np.asarray(h.boundaries)[None, :]), axis=1) > 1e-6
-            want = h.evaluate_many(xs[far])
-            got = np.sign(f.evaluate_many(xs[far]))
-            assert np.array_equal(got, want)
-
-    def test_piece_budget(self):
-        h = BoundaryHypothesis((0.0, 1.0, 2.0, 3.0), 1)
-        assert to_cpwl(h).piece_count <= h.boundary_count + 1
-
-    def test_constant_raises(self):
-        with pytest.raises(ValueError):
-            to_cpwl(BoundaryHypothesis((), 1))
-
-    def test_relu_reproduces_cpwl_pointwise(self):
-        rng = np.random.default_rng(77)
-        xs = np.linspace(-5.0, 5.0, 2001)
-        for _ in range(40):
-            f = to_cpwl(_random_hypothesis(rng))
-            g = cpwl_to_relu_params(f)
-            np.testing.assert_allclose(g.evaluate_many(xs), f.evaluate_many(xs), atol=1e-9)
-            # exact agreement at the knots too
-            if f.knots:
-                np.testing.assert_allclose(
-                    g.evaluate_many(np.asarray(f.knots)),
-                    f.evaluate_many(np.asarray(f.knots)),
-                    atol=1e-9,
-                )
-
-    def test_hinge_coefs_are_slope_changes(self):
-        f = CpwlFunction(knots=(0.0, 1.0), slopes=(1.0, -2.0, 0.5), intercepts=(0.0, 0.0, -2.5))
-        g = cpwl_to_relu_params(f)
-        assert g.hinge_coefs == (-3.0, 2.5)
-
-    def test_discontinuous_pieces_rejected(self):
-        with pytest.raises(ValueError):
-            CpwlFunction(knots=(0.0,), slopes=(1.0, 1.0), intercepts=(0.0, 5.0))
 
 
 class TestHierarchySpec:

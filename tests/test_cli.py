@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 
@@ -108,6 +109,16 @@ class TestParsing:
             ({**_STAIRCASE, "learners": []}, "error: learners must be nonempty"),
             ({**_STAIRCASE, "learners": ["oracle", "oracle"]}, "error: learners must not repeat"),
             ({**_STAIRCASE, "out_dir": 5}, "error: out_dir must be a string or null"),
+            ({**_STAIRCASE, "family": ["gap"]}, "error: family must be a string"),
+            ({**_STAIRCASE, "family": {"a": 1}}, "error: family must be a string"),
+            ({**_STAIRCASE, "selection": {"C": math.nan}}, "error: C and c must be finite"),
+            ({**_STAIRCASE, "selection": {"c": math.inf}}, "error: C and c must be finite"),
+            ({"family": "fixed_class", "params": {**_FIXED_CLASS, "d": 9, "rho": math.inf}},
+             "error: rho must be finite"),
+            ({**_STAIRCASE, "params": {"rhos": [math.inf]}}, "error: rhos must be finite"),
+            ({"family": "two_point", "params": {"alpha": 10**400}}, "error: alpha must be finite"),
+            ({**_STAIRCASE, "params": {"rhos": [600]}},
+             "error: level 1's source mass underflows to 0 at rho 600"),
         ],
         ids=["missing_family", "unknown_selection_key", "not_an_object", "grid_string",
              "replicates_string", "replicates_bool", "C_string", "budget_float", "selection_list",
@@ -115,7 +126,9 @@ class TestParsing:
              "d_string", "d_fractional", "rho_b_bool", "enforce_regime_string", "unknown_param",
              "coef_grid_outside_calibrate", "base_seed_string", "base_seed_float",
              "base_seed_null", "base_seed_bool", "learners_nested", "learners_empty",
-             "learners_repeated", "out_dir_number"],
+             "learners_repeated", "out_dir_number", "family_list", "family_object", "C_nan",
+             "c_infinity", "rho_infinity", "rhos_infinity", "alpha_past_float_range",
+             "rhos_underflow"],
     )
     def test_bad_config_is_one_line_error(self, tmp_path, payload, message):
         path = _write_cfg(tmp_path, "bad.json", payload)
@@ -127,6 +140,14 @@ class TestParsing:
         payload = {**_STAIRCASE, "params": {"rhos": [1.0], "coef_grid": "12"}}
         path = _write_cfg(tmp_path, "bad.json", payload)
         with pytest.raises(SystemExit, match="error: coef_grid must be a list of numbers") as exc:
+            main(["calibrate", "--config", path])
+        assert "\n" not in str(exc.value.code)
+
+    def test_calibrate_coef_grid_nan_is_one_line_error(self, tmp_path):
+        payload = {**_STAIRCASE, "params": {"rhos": [1.0], "coef_grid": [1.0, math.nan]}}
+        path = _write_cfg(tmp_path, "bad.json", payload)
+        # The grid reaches SelectionConfig's C and c, which reject NaN.
+        with pytest.raises(SystemExit, match="error: C and c must be finite") as exc:
             main(["calibrate", "--config", path])
         assert "\n" not in str(exc.value.code)
 

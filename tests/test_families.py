@@ -120,6 +120,15 @@ class TestThresholdNn:
         with pytest.raises(ValueError):
             build_threshold_nn((0.5,))
 
+    def test_underflowing_source_mass_rejected(self):
+        # 2^-(2*i*rho + i) underflows to 0.0: the level would carry no source mass.
+        with pytest.raises(ValueError, match="level 1's source mass underflows"):
+            build_threshold_nn((600.0,))
+        with pytest.raises(ValueError, match="level 2's source mass underflows"):
+            build_threshold_nn((1.0, 600.0))
+        for rhos in ((1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0), (4.0,) * 12, (20.0,) * 12):
+            assert build_threshold_nn(rhos).hierarchy.max_level == len(rhos)
+
 
 class TestShiftedTarget:
     def test_all_levels_pay_three_eighths(self):

@@ -372,7 +372,7 @@ class TestExcessCheck:
     def _shift_optimum(monkeypatch, by):
         stored = analysis.global_optimal_risk
         monkeypatch.setattr(analysis, "global_optimal_risk",
-                            lambda inst, which, recompute=False: stored(inst, which) + by)
+                            lambda inst, which: stored(inst, which) + by)
 
     def test_negative_excess_raises(self, monkeypatch):
         self._shift_optimum(monkeypatch, 2e-9)
