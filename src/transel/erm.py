@@ -2,9 +2,13 @@
 
 Boundary classes are optimized with a suffix-table dynamic program over the
 grouped sample: T[g][j][s] is the least number of mistakes on groups g..m-1
-when group g carries sign s and at most j sign changes remain.  The same
-tables drive a best-first enumeration of classifiers in increasing-mistake
-order, which Algorithm-style intersection searches consume.  Ties are always
+when group g carries sign s and at most j sign changes remain.  Level ERMs
+read tables over label runs, maximal stretches of distinct xs that carry one
+label (a distinct x with both labels is a run of its own): every optimal
+labeling cuts only at run edges, so after the sort an ERM costs O(runs), not
+O(n).  Tables over the distinct xs drive a best-first enumeration of
+classifiers in increasing-mistake order, which Algorithm-style intersection
+searches consume; they are built only when a search can pop.  Ties are always
 broken by the canonical key (mistakes, boundary count, boundary vector,
 plus-sign-first), so every routine is deterministic.
 """
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,26 +65,61 @@ def _sign_index(sign: int) -> int:
 _SIGN_OF_INDEX = (1, -1)
 
 
-class _DpWorkspace:
-    """Grouped sample plus suffix tables, reusable across levels.
+def _label_changes(xs: np.ndarray, ys: np.ndarray):
+    """Indices i of the sorted sample where ys[i] != ys[i - 1], split into
+    those where x changes too and those inside one distinct x (ties)."""
+    at = np.flatnonzero(ys[1:] != ys[:-1]) + 1
+    tie = xs[at - 1] == xs[at]
+    return at[~tie], at[tie]
 
-    tables[j][g, s] = min mistakes on groups g.. with sign s at group g and
-    at most j further sign changes; cs[g, s] = mistakes of the constant
-    continuation.  All entries are int64 and exact.
+
+class _DpWorkspace:
+    """Suffix tables over one grouping of the sorted sample, reusable across levels.
+
+    The sample is cut into consecutive groups g = 0..m-1, each given by its
+    first x ``left[g]``, its last x ``right[g]`` and its (+, −) counts; a
+    boundary falls only between groups, at (right[g-1] + left[g]) / 2.
+    tables[j][g, s] = min mistakes on groups g.. with sign s at group g and at
+    most j further sign changes; cs[g, s] = mistakes of the constant
+    continuation.  No entry exceeds n, so all are stored as int32 (int64 past
+    its range), and every sum of entries is taken in Python ints.
+
+    Two groupings are used.  :meth:`of_points` groups by distinct x, which
+    every labeling of the sample can be cut along.  :meth:`of_runs` groups by
+    label runs: a run is a maximal stretch of distinct-x groups that all carry
+    one label, and a group that holds both labels is a run of its own.  The
+    run tables give the same level ERM, by this argument.  Take a labeling
+    that is optimal in a level's class and its first cut p strictly inside a
+    pure run R = [u, w) of label l; the labeling is constant, say s, on
+    [u, p).  If s != l, move p to u.  Otherwise [p, p') is -l up to the next
+    cut p': if p' is also strictly inside R, drop both cuts (two boundaries
+    inside one run enclose a group and cost a mistake); if not, move p to w.
+    A cut moved onto another cut cancels with it, and one moved to the
+    sample's end drops, which at the start flips the first sign with one
+    change fewer: both hierarchies' budgets for the two signs differ by at
+    most one, so the result stays in the class.  Each move uses no more sign
+    changes and loses at least one mistake, as every group holds a point.  So
+    every optimal labeling of a level, for either first sign and under
+    ``_walk_cuts``'s exactly-``flips`` rule, cuts only at run edges: the
+    level's least mistakes, the signs that reach them with their least flips,
+    and the lex-least minimizer are the same on both groupings.  A run edge
+    is a distinct-x edge, so its midpoint is the same two floats and every
+    boundary keeps its bits.  (A table entry of one sign that is not a level
+    optimum can differ, and the search walks those, so it reads the
+    point-level tables.)
     """
 
-    def __init__(self, sample: LabeledSample, max_flips: int):
-        xs, ys = sample.xs, sample.ys
-        ux, inverse = np.unique(xs, return_inverse=True)
-        m = len(ux)
-        self.ux = ux
+    def __init__(self, left, right, pos, neg, max_flips: int):
+        m = len(left)
+        n = int(pos.sum() + neg.sum())
+        dtype = np.int32 if n < np.iinfo(np.int32).max else np.int64
+        self.left, self.right = left, right
         self.m = m
+        self.dtype = dtype
         self._aux_cache = {}
-        pos = np.bincount(inverse, weights=(ys == 1), minlength=m).astype(np.int64)
-        neg = np.bincount(inverse, weights=(ys == -1), minlength=m).astype(np.int64)
-        cost = np.stack([neg, pos], axis=1)
-        cs = np.zeros((m + 1, 2), dtype=np.int64)
-        cs[:m] = cost[::-1].cumsum(axis=0)[::-1]
+        cs = np.zeros((m + 1, 2), dtype=dtype)
+        for si, wrong in enumerate((neg, pos)):
+            cs[:m, si] = np.cumsum(wrong[::-1], dtype=dtype)[::-1]
         self.cs = cs
         tables = [cs]
         for _ in range(max_flips):
@@ -92,8 +132,48 @@ class _DpWorkspace:
             tables.append(nxt)
         self.tables = tables
 
+    @staticmethod
+    def _groups(sample: LabeledSample, bounds, ties):
+        """Start index, end index and (+, −) counts of the groups that start
+        at 0 and at each index of ``bounds``.  A group holds at most one label
+        change, one of ``ties``, and the sort by (x, y) puts its −1s first."""
+        ys, n = sample.ys, len(sample)
+        starts = np.insert(bounds, 0, 0) if n else bounds
+        ends = np.append(bounds, n) if n else bounds
+        size = ends - starts
+        pos = np.where(ys[starts] == 1, size, 0)
+        mixed = np.searchsorted(bounds, ties, side="right")
+        pos[mixed] = ends[mixed] - ties
+        return starts, ends, pos, size - pos
+
+    @classmethod
+    def of_points(cls, sample: LabeledSample, max_flips: int) -> "_DpWorkspace":
+        """Tables over the distinct xs of the sample."""
+        xs = sample.xs
+        bounds = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+        starts, _, pos, neg = cls._groups(sample, bounds, _label_changes(xs, sample.ys)[1])
+        ux = xs[starts]
+        return cls(ux, ux, pos, neg, max_flips)
+
+    @classmethod
+    def of_runs(cls, sample: LabeledSample, max_flips: int) -> "_DpWorkspace":
+        """Tables over the label runs of the sample, in one O(n) pass that
+        keeps O(runs) memory beyond a flag per point: the run edges are the
+        label changes between distinct xs and the two edges of each distinct
+        x that holds both labels."""
+        xs, n = sample.xs, len(sample)
+        clean, ties = _label_changes(xs, sample.ys)
+        # three sorted arrays: a stable sort merges them in linear time
+        edges = np.sort(np.concatenate(
+            (clean, np.searchsorted(xs, xs[ties], "left"), np.searchsorted(xs, xs[ties], "right"))
+        ), kind="stable")
+        keep = (edges > 0) & (edges < n)
+        keep[1:] &= edges[1:] != edges[:-1]
+        starts, ends, pos, neg = cls._groups(sample, edges[keep], ties)
+        return cls(xs[starts], xs[ends - 1], pos, neg, max_flips)
+
     def _mid(self, q: int) -> float:
-        return (self.ux[q - 1] + self.ux[q]) / 2.0
+        return (self.right[q - 1] + self.left[q]) / 2.0
 
     def _flip_aux(self, jj: int, si: int):
         """Flip-continuation bounds for a constant run with sign ``si``.
@@ -110,10 +190,13 @@ class _DpWorkspace:
             d = self.tables[jj][:, 1 - si] - self.cs[:, si]
             rev = d[1:m][::-1]
             run_min = np.minimum.accumulate(rev)
-            seen = np.concatenate(([np.iinfo(np.int64).max], run_min[:-1]))
+            seen = np.empty_like(rev)
+            seen[:1] = np.iinfo(self.dtype).max
+            seen[1:] = run_min[:-1]
             fresh = rev <= seen
-            arg = np.maximum.accumulate(np.where(fresh, np.arange(rev.size), -1))
-            q_at = np.empty(m, dtype=np.int64)
+            arg = np.maximum.accumulate(
+                np.where(fresh, np.arange(rev.size, dtype=self.dtype), -1))
+            q_at = np.empty(m, dtype=self.dtype)
             q_at[1:] = (m - 1) - arg[::-1]
             cached = (d, q_at)
             self._aux_cache[key] = cached
@@ -137,7 +220,7 @@ class _DpWorkspace:
             if hits.size == 0:
                 break
             q = g + 1 + int(hits[0])
-            cuts.append((self.ux[q - 1] + self.ux[q]) / 2.0)
+            cuts.append(self._mid(q))
             acc += int(self.cs[g, si] - self.cs[q, si])
             g, si, j = q, 1 - si, j - 1
         acc += int(self.cs[g, si])
@@ -237,6 +320,33 @@ class _DpWorkspace:
         return SearchResult(SEARCH_EMPTY, None, None, pops)
 
 
+class _SampleWorkspace:
+    """One sample's DP workspace: run-level tables for every level ERM, and
+    point-level tables built on the first search that can pop.
+
+    Every labeling of a level makes at least the level ERM's mistakes, so a
+    search capped below them returns ``empty`` with 0 pops, read off the run
+    tables.
+    """
+
+    def __init__(self, sample: LabeledSample, max_flips: int):
+        self.sample = sample
+        self.max_flips = max_flips
+        self.runs = _DpWorkspace.of_runs(sample, max_flips)
+
+    @cached_property
+    def points(self) -> _DpWorkspace:
+        return _DpWorkspace.of_points(self.sample, self.max_flips)
+
+    def canonical_erm(self, budgets: dict[int, int]) -> ErmResult:
+        return self.runs.canonical_erm(budgets)
+
+    def search(self, budgets, predicate, mistake_cap=None, pop_cap=DEFAULT_POP_CAP):
+        if mistake_cap is not None and mistake_cap < self.runs.best_mistakes(budgets):
+            return SearchResult(SEARCH_EMPTY, None, None, 0)
+        return self.points.search(budgets, predicate, mistake_cap, pop_cap)
+
+
 class _NestedBoundaryHierarchy:
     """Shared machinery for hierarchies indexed by a sign-change budget.
 
@@ -257,9 +367,9 @@ class _NestedBoundaryHierarchy:
                 f"level {level} outside [{self.min_level}, {self.max_level}]"
             )
 
-    def make_workspace(self, sample: LabeledSample) -> _DpWorkspace:
+    def make_workspace(self, sample: LabeledSample) -> _SampleWorkspace:
         max_flips = max(self.flip_budgets(self.max_level).values())
-        return _DpWorkspace(sample, max_flips)
+        return _SampleWorkspace(sample, max_flips)
 
     def erm(self, sample, level, workspace=None) -> ErmResult:
         self._check_level(level)

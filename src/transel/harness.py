@@ -30,6 +30,7 @@ from .selection import (
     SelectionConfig,
     _is_int,
     _is_number,
+    _top_level,
     algorithm1,
     algorithm2,
     oracle_learner,
@@ -306,6 +307,16 @@ def run_replicates(cfg: ExperimentConfig, cells=None, on_draw=None) -> list[RunR
     if len(counts) != 1:
         raise ValueError("instance count must not vary across the sample grid")
     n_instances = counts.pop()
+    if "oracle" in cfg.learners:
+        for (n_p, n_q), pairs in cells.items():
+            for instance, profile in pairs:
+                top = _top_level(instance.hierarchy, cfg.selection)
+                if profile.i_best_plain > top:
+                    raise ValueError(
+                        f"oracle level {profile.i_best_plain} of cell (sigma "
+                        f"{_sigma_tag(instance) or '-'}, n_source {n_p}, n_target {n_q}) "
+                        f"is above selection.L_max {cfg.selection.L_max}"
+                    )
 
     records = []
     for idx in range(n_instances):
@@ -321,7 +332,7 @@ def run_replicates(cfg: ExperimentConfig, cells=None, on_draw=None) -> list[RunR
                     fit = Fit(instance.hierarchy, s_p, s_q, s_hold, cfg.selection)
                     fits += [(r, learner, *_run_learner(learner, fit, profile.i_best_plain))
                              for learner in cfg.learners]
-                    # The source workspace is a replicate's largest object:
+                    # The source sample is a replicate's largest object:
                     # free it before the next draw, not after.
                     del fit
                 excesses = _checked_excesses(instance, [h for _, _, h, *_ in fits])
@@ -656,7 +667,9 @@ def _random_erm_case(seed: int):
 
 
 def erm_check(cfg: ExperimentConfig, cases: int = 200) -> dict:
-    """Exact-solver equivalence sweep against brute force on small samples."""
+    """Exact-solver equivalence sweep against brute force on small samples:
+    each case's level ERM (mistakes and canonical minimizer) and the verdict
+    of its intersection search."""
     mismatches = []
     seeds = []
     for i in range(cases):
@@ -664,11 +677,13 @@ def erm_check(cfg: ExperimentConfig, cases: int = 200) -> dict:
         seeds.append(seed)
         sample, hierarchy, level = _random_erm_case(seed)
         ctx = LevelContext(hierarchy, sample, cfg.selection)
-        got = ctx.erm(level).mistakes
-        brute = erm_bruteforce(sample, hierarchy.flip_budgets(level)).mistakes
+        got = ctx.erm(level)
+        brute = erm_bruteforce(sample, hierarchy.flip_budgets(level))
         if got != brute:
             mismatches.append(
-                {"case": i, "seed": seed, "solver": got, "bruteforce": brute, "level": level}
+                {"case": i, "seed": seed, "solver": got.mistakes, "bruteforce": brute.mistakes,
+                 "solver_hypothesis": repr(got.hypothesis),
+                 "bruteforce_hypothesis": repr(brute.hypothesis), "level": level}
             )
         # Intersection search vs exhaustive minimal-set scan.
         scan_from = hierarchy.min_level

@@ -142,12 +142,14 @@ def _top_level(hierarchy, cfg: SelectionConfig) -> int:
 class LevelContext:
     """One sample's minimal sets, their intersections and its level scan.
 
-    Builds, once, the DP workspace, the ERM of every level from the floor to
-    the configured top, each level ERM's ``runs`` on the sample and each
-    level's complexity term.  ``is_member``, ``intersection`` and ``scan``
-    all read these, so any number of questions about one sample share one
-    workspace.  A hypothesis is read on the sample only through its runs:
-    its mistakes and its disagreement with a level ERM both count from them.
+    Builds, once, the DP workspace's tables over the sample's label runs, the
+    ERM of every level from the floor to the configured top, each level
+    ERM's ``runs`` on the sample and each level's complexity term.
+    ``is_member``, ``intersection`` and ``scan`` all read these, so any
+    number of questions about one sample share one workspace; its
+    point-level tables are built only by a search that can pop.  A
+    hypothesis is read on the sample only through its runs: its mistakes and
+    its disagreement with a level ERM both count from them.
     """
 
     def __init__(self, hierarchy, sample: LabeledSample, cfg: SelectionConfig):

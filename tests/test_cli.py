@@ -119,6 +119,10 @@ class TestParsing:
             ({"family": "two_point", "params": {"alpha": 10**400}}, "error: alpha must be finite"),
             ({**_STAIRCASE, "params": {"rhos": [600]}},
              "error: level 1's source mass underflows to 0 at rho 600"),
+            ({**_STAIRCASE, "params": {"rhos": [1, 2]}, "n_source_grid": [1000000],
+              "replicates": 3, "selection": {"L_max": 0}},
+             r"error: oracle level 2 of cell \(sigma -, n_source 1000000, n_target 1\) "
+             "is above selection.L_max 0"),
         ],
         ids=["missing_family", "unknown_selection_key", "not_an_object", "grid_string",
              "replicates_string", "replicates_bool", "C_string", "budget_float", "selection_list",
@@ -128,7 +132,7 @@ class TestParsing:
              "base_seed_null", "base_seed_bool", "learners_nested", "learners_empty",
              "learners_repeated", "out_dir_number", "family_list", "family_object", "C_nan",
              "c_infinity", "rho_infinity", "rhos_infinity", "alpha_past_float_range",
-             "rhos_underflow"],
+             "rhos_underflow", "oracle_above_L_max"],
     )
     def test_bad_config_is_one_line_error(self, tmp_path, payload, message):
         path = _write_cfg(tmp_path, "bad.json", payload)

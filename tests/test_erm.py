@@ -8,16 +8,20 @@ from hypothesis import given, settings
 from transel.classifiers import BoundaryHypothesis, TabularHypothesis
 from transel.distributions import LabeledSample
 from transel.erm import (
+    DEFAULT_POP_CAP,
     SEARCH_EMPTY,
     SEARCH_FOUND,
     SEARCH_INCONCLUSIVE,
     BoundaryClassHierarchy,
     FiniteClassHierarchy,
     OneSidedThresholdHierarchy,
+    _DpWorkspace,
     erm_bruteforce,
     hypothesis_sort_key,
     mistake_count,
 )
+from transel.families import build_threshold_nn
+from transel.selection import LevelContext, SelectionConfig
 
 
 def _sample(xs, ys) -> LabeledSample:
@@ -122,6 +126,120 @@ class TestDpAgainstBruteforce:
         s = _sample(np.arange(21.0), np.ones(21))
         with pytest.raises(ValueError):
             erm_bruteforce(s, {1: 1, -1: 1})
+
+
+_HIERARCHIES = (BoundaryClassHierarchy(max_level=4), OneSidedThresholdHierarchy(max_level=4))
+
+
+@st.composite
+def _labeled_samples(draw, max_n=20):
+    """Up to ``max_n`` points with repeated xs on a coarse grid or distinct
+    ones, labeled by fair coins, by a noisy few-boundary rule or by one label."""
+    n = draw(st.integers(0, max_n))
+    grid = draw(st.sampled_from((4, 10, 1000)))
+    xs = np.asarray(draw(st.lists(st.integers(0, grid), min_size=n, max_size=n)), float) / grid
+    kind = draw(st.sampled_from(("bernoulli", "rule", "single")))
+    if kind == "bernoulli":
+        ys = np.asarray(draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n)))
+    elif kind == "rule":
+        cuts = sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=3)))
+        ys = np.where(np.searchsorted(cuts, xs) % 2 == 0, 1, -1)
+        flip = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=2)) if n else []
+        ys[flip] *= -1
+    else:
+        ys = np.full(n, draw(st.sampled_from((-1, 1))))
+    return _sample(xs, ys)
+
+
+def _max_flips(hierarchy) -> int:
+    return max(hierarchy.flip_budgets(hierarchy.max_level).values())
+
+
+class TestRunLevelTables:
+    """Level ERMs come from tables over label runs; the point-level tables
+    over distinct xs and brute force are their oracles."""
+
+    @given(sample=_labeled_samples(), which=st.integers(0, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_level_erm_matches_points_and_bruteforce(self, sample, which):
+        hierarchy = _HIERARCHIES[which]
+        runs = hierarchy.make_workspace(sample).runs
+        points = _DpWorkspace.of_points(sample, _max_flips(hierarchy))
+        for level in range(hierarchy.min_level, hierarchy.max_level + 1):
+            budgets = hierarchy.flip_budgets(level)
+            got = runs.canonical_erm(budgets)
+            assert got == points.canonical_erm(budgets)
+            assert got == erm_bruteforce(sample, budgets)
+
+    @given(sample=_labeled_samples(max_n=40), which=st.integers(0, 1),
+           level=st.integers(1, 4), cap=st.integers(-1, 12), accept_at=st.integers(1, 30),
+           pop_cap=st.sampled_from((3, 20, DEFAULT_POP_CAP)))
+    @settings(max_examples=300, deadline=None)
+    def test_search_matches_a_fresh_point_level_workspace(
+        self, sample, which, level, cap, accept_at, pop_cap
+    ):
+        hierarchy = _HIERARCHIES[which]
+        budgets = hierarchy.flip_budgets(level)
+
+        def run(ws):
+            popped = []
+
+            def predicate(h, m):
+                popped.append((h, m))
+                return len(popped) == accept_at
+
+            return ws.search(budgets, predicate, cap, pop_cap), popped
+
+        shared = hierarchy.make_workspace(sample)
+        got, got_popped = run(shared)
+        want, want_popped = run(_DpWorkspace.of_points(sample, _max_flips(hierarchy)))
+        assert got == want
+        assert got_popped == want_popped
+        if cap < shared.canonical_erm(budgets).mistakes:
+            assert got.pops == 0 and got.status == SEARCH_EMPTY
+            assert "points" not in shared.__dict__
+
+    def test_runs_of_a_mixed_sample(self):
+        # 0.1 and 0.7 each hold both labels and are runs of their own
+        s = _sample([0.0, 0.1, 0.1, 0.2, 0.3, 0.7, 0.7, 0.9], [1, -1, 1, 1, 1, 1, -1, -1])
+        runs = _DpWorkspace.of_runs(s, 1)
+        assert runs.left.tolist() == [0.0, 0.1, 0.2, 0.7, 0.9]
+        assert runs.right.tolist() == [0.0, 0.1, 0.3, 0.7, 0.9]
+        # mistakes of a constant +1 (the -1 labels) and -1 tail from each run on
+        assert runs.cs[:, 0].tolist() == [3, 3, 2, 2, 1, 0]
+        assert runs.cs[:, 1].tolist() == [5, 4, 3, 1, 0, 0]
+
+    @pytest.mark.parametrize(
+        "xs, ys, m",
+        [([], [], 0), ([0.5], [-1], 1), ([0.1, 0.2, 0.3], [1, 1, 1], 1),
+         ([0.3, 0.3, 0.3], [1, -1, 1], 1)],
+        ids=["empty", "one_point", "single_label", "one_mixed_x"],
+    )
+    def test_degenerate_samples(self, xs, ys, m):
+        s = _sample(xs, ys)
+        ws = BoundaryClassHierarchy(max_level=2).make_workspace(s)
+        assert ws.runs.m == m
+        for level in range(3):
+            budgets = {1: level, -1: level}
+            assert ws.canonical_erm(budgets) == erm_bruteforce(s, budgets)
+
+    def test_point_tables_are_int32(self):
+        rng = np.random.default_rng(0)
+        s = _sample(rng.random(1000), rng.choice([-1, 1], 1000))
+        points = BoundaryClassHierarchy(max_level=3).make_workspace(s).points
+        points.search({1: 3, -1: 3}, lambda h, m: m > 400)
+        assert {t.dtype for t in points.tables} == {np.dtype(np.int32)}
+        assert {a.dtype for aux in points._aux_cache.values() for a in aux} == {
+            np.dtype(np.int32)
+        }
+
+    def test_staircase_scan_leaves_the_point_tables_unbuilt(self):
+        instance = build_threshold_nn([1.0, 1.25, 1.5, 2.0, 3.0, 4.0])
+        sample = instance.source.sample(100_000, np.random.default_rng(0))
+        ctx = LevelContext(instance.hierarchy, sample, SelectionConfig())
+        ctx.scan()
+        assert ctx.workspace.runs.m <= 5
+        assert "points" not in ctx.workspace.__dict__
 
 
 class TestBestFirstSearch:

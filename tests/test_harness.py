@@ -310,6 +310,22 @@ class TestRunReplicates:
         b = run_replicates(curve_cfg(2))
         assert [r.row() for r in a] != [r.row() for r in b]
 
+    def test_oracle_above_L_max_fails_before_the_first_draw(self):
+        def cfg(learners):
+            return ExperimentConfig(
+                kind="rate_curve", family="threshold_nn", params={"rhos": [1.0, 2.0]},
+                n_source_grid=(100,), n_target_grid=(10,), learners=learners,
+                selection=SelectionConfig(L_max=0),
+            )
+
+        draws = []
+        message = r"oracle level 1 of cell \(sigma -, n_source 100, n_target 10\) is above"
+        with pytest.raises(ValueError, match=message):
+            run_replicates(cfg(LEARNERS), on_draw=lambda *a: draws.append(a))
+        assert draws == []
+        # without the oracle, a truncated hierarchy is a valid experiment
+        assert len(run_replicates(cfg(("algorithm1",)))) == 1
+
 
 class TestOutputs:
     def test_csv_schema_line_and_columns(self):
@@ -652,6 +668,31 @@ class TestErmCheck:
         report = erm_check(cfg, cases=12)
         assert report["ok"] is False
         assert [m["case"] for m in report["mismatches"]] == [7]
+
+    def test_wrong_minimizer_with_right_count_detected(self, monkeypatch):
+        # Brute force returns case 3's minimizer with its sign flipped but its
+        # count kept: the sweep compares minimizers, not only counts.
+        calls = []
+
+        def faulty(sample, budgets):
+            result = erm_bruteforce(sample, budgets)
+            calls.append(sample)
+            if len(calls) == 4:
+                h = result.hypothesis
+                return dataclasses.replace(
+                    result, hypothesis=dataclasses.replace(h, first_sign=-h.first_sign)
+                )
+            return result
+
+        monkeypatch.setattr(harness, "erm_bruteforce", faulty)
+        cfg = ExperimentConfig(kind="erm_check", family="threshold_nn",
+                               params={"rhos": [1.0]}, base_seed=5)
+        report = erm_check(cfg, cases=6)
+        assert report["ok"] is False
+        [mismatch] = report["mismatches"]
+        assert mismatch["case"] == 3
+        assert mismatch["solver"] == mismatch["bruteforce"]
+        assert mismatch["solver_hypothesis"] != mismatch["bruteforce_hypothesis"]
 
     def test_one_workspace_per_case(self, monkeypatch):
         workspaces = _count_calls(
