@@ -143,23 +143,6 @@ def midpoints(xs) -> np.ndarray:
     return (values[:-1] + values[1:]) / 2.0
 
 
-def disagreement_count(runs_a, runs_b, n: int) -> int:
-    """Points of a sorted n-point sample on which two labelings differ.
-
-    ``runs_a``/``runs_b`` are the two hypotheses' ``runs`` on that sample.
-    Every cut of either side toggles agreement, so the merged cuts split the
-    sample into runs that alternate between agreeing and disagreeing.  Costs
-    O((k + k') log(k + k')) for k and k' cuts, independent of n.
-    """
-    (cuts_a, label_a), (cuts_b, label_b) = runs_a, runs_b
-    total, start, differ = 0, 0, label_a != label_b
-    for cut in sorted(cuts_a + cuts_b):
-        if differ:
-            total += cut - start
-        start, differ = cut, not differ
-    return total + n - start if differ else total
-
-
 @dataclass(frozen=True)
 class TabularHypothesis:
     """Classifier defined only on a finite support of distinct points."""

@@ -41,12 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--replicates", type=int, default=None, help="replicate count (overrides config)"
         )
-        p.add_argument(
-            "--format",
-            choices=("csv", "json"),
-            default="csv",
-            help="records serialization format (summary is always JSON)",
-        )
     return parser
 
 
@@ -133,7 +127,7 @@ def main(argv=None) -> int:
         raise SystemExit(f"error: {exc}")
     paths = {}
     if cfg.out_dir:
-        paths = write_outputs(cfg.out_dir, records, summary, args.format)
+        paths = write_outputs(cfg.out_dir, records, summary)
     code = _report(cfg, summary)
     for path in paths.values():
         print(f"wrote {path}")

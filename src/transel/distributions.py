@@ -152,48 +152,96 @@ class Segment:
         return np.clip(x, self.lo, self.hi)
 
 
+def count_dtype(n: int):
+    """Integer type for counts of at most ``n`` points: int32 while it fits."""
+    return np.int32 if n < np.iinfo(np.int32).max else np.int64
+
+
 @dataclass(frozen=True)
 class LabeledSample:
-    """Point sample with labels, stored sorted by (x, y) for canonical order.
+    """Labeled sample as groups: its distinct ``xs``, ascending, and the
+    (+, −) counts ``pos``/``neg`` of the points at each.
 
-    Sorted ``xs`` is an invariant that correctness relies on: a hypothesis
-    is read on the sample only through its ``runs(xs)``, and every mistake
-    and disagreement count is made from those runs.
+    Every learner reads a sample only through mistake and disagreement
+    counts, and a point's order among points with the same x changes neither,
+    so the groups are all it keeps; ``len`` is still the number of points.  A
+    hypothesis is read on the sample only through its ``runs(xs)``, whose
+    cuts are group indices, and both counts are made from those runs.
     """
 
     xs: np.ndarray
-    ys: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
 
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=np.int8)
+    @classmethod
+    def of_points(cls, xs, ys) -> LabeledSample:
+        """The groups of points ``xs`` with labels ``ys`` in {−1, +1}."""
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys)
         if xs.shape != ys.shape or xs.ndim != 1:
             raise ValueError("xs and ys must be 1-D arrays of equal length")
-        order = np.lexsort((ys, xs))
-        object.__setattr__(self, "xs", xs[order])
-        object.__setattr__(self, "ys", ys[order])
+        if not np.isfinite(xs).all():
+            raise ValueError("sample xs must be finite")
+        plus = ys == 1
+        if not (plus | (ys == -1)).all():
+            raise ValueError("sample labels must be -1 or +1")
+        n = xs.size
+        dtype = count_dtype(n)
+        order = np.argsort(xs)  # ties are counted, so their order does not matter
+        xs, plus = xs[order], plus[order]
+        del order  # 8 bytes a point: free it before the groups are built
+        first = np.empty(n, dtype=bool)
+        first[:1] = True
+        np.not_equal(xs[1:], xs[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        return cls(xs[starts], np.add.reduceat(plus, starts, dtype=dtype),
+                   np.add.reduceat(~plus, starts, dtype=dtype))
 
     def __len__(self) -> int:
-        return int(self.xs.shape[0])
+        return self._size
 
     @cached_property
-    def _positives_before(self) -> np.ndarray:
-        """Entry i counts the +1 labels among the first i points."""
-        return np.concatenate(([0], np.cumsum(self.ys == 1)))
+    def _size(self) -> int:
+        return int(self.pos.sum()) + int(self.neg.sum())
+
+    @cached_property
+    def _before(self) -> tuple[np.ndarray, np.ndarray]:
+        """Entry g of each counts the −1, then the +1, labels in the groups
+        before g: the mistakes of a +1, then a −1, label on them."""
+        before = np.zeros((2, len(self.xs) + 1), dtype=count_dtype(len(self)))
+        np.cumsum(self.neg, out=before[0, 1:])
+        np.cumsum(self.pos, out=before[1, 1:])
+        return before[0], before[1]
 
     def mistakes(self, runs) -> int:
         """Points mislabeled by the hypothesis whose ``runs(xs)`` is ``runs``.
 
         Each run's mistakes are its points of the other label, read off the
-        prefix count of +1 labels, so this costs O(k) for k cuts.
+        prefix counts, so this costs O(k) for k cuts.
         """
         cuts, label = runs
-        positives = self._positives_before
+        neg, pos = self._before
         total, start = 0, 0
-        for end in (*cuts, len(self)):
-            plus = positives.item(end) - positives.item(start)
-            total += plus if label == -1 else end - start - plus
+        for end in (*cuts, len(self.xs)):
+            wrong = neg if label == 1 else pos
+            total += wrong.item(end) - wrong.item(start)
             start, label = end, -label
+        return total
+
+    def disagreements(self, runs_a, runs_b) -> int:
+        """Points on which the hypotheses with ``runs_a`` and ``runs_b`` differ.
+
+        Every cut of either side toggles agreement, so the merged cuts split
+        the groups into runs that alternate between agreeing and disagreeing.
+        Costs O((k + k') log(k + k')) for k and k' cuts.
+        """
+        (cuts_a, label_a), (cuts_b, label_b) = runs_a, runs_b
+        neg, pos = self._before
+        total, start, differ = 0, 0, label_a != label_b
+        for end in (*sorted(cuts_a + cuts_b), len(self.xs)):
+            if differ:
+                total += neg.item(end) - neg.item(start) + pos.item(end) - pos.item(start)
+            start, differ = end, not differ
         return total
 
 
@@ -218,8 +266,6 @@ class PiecewiseDistribution:
 
     def sample(self, n: int, rng: np.random.Generator) -> LabeledSample:
         u = rng.random((n, 2))
-        if n == 0:
-            return LabeledSample(np.empty(0), np.empty(0, dtype=np.int8))
         idx = np.searchsorted(self._cum, u[:, 0], side="right") - 1
         idx = np.clip(idx, 0, len(self.segments) - 1)
         xs = np.empty(n)
@@ -234,7 +280,7 @@ class PiecewiseDistribution:
                 ys[pick] = seg.label_law.label
             else:
                 ys[pick] = np.where(u[pick, 1] < seg.label_law.q, 1, -1)
-        return LabeledSample(xs, ys)
+        return LabeledSample.of_points(xs, ys)
 
     def bayes_risk(self) -> float:
         return sum(s.mass * _label_bayes(s.label_law) for s in self.segments)
@@ -326,13 +372,11 @@ class DiscreteDistribution:
 
     def sample(self, n: int, rng: np.random.Generator) -> LabeledSample:
         u = rng.random((n, 2))
-        if n == 0:
-            return LabeledSample(np.empty(0), np.empty(0, dtype=np.int8))
         idx = np.searchsorted(self._cum, u[:, 0], side="right") - 1
         idx = np.clip(idx, 0, len(self.points) - 1)
         xs = self._points[idx]
         ys = np.where(u[:, 1] < self._pos_probs[idx], 1, -1)
-        return LabeledSample(xs, ys)
+        return LabeledSample.of_points(xs, ys)
 
     def bayes_risk(self) -> float:
         return sum(m * min(q, 1.0 - q) for m, q in zip(self.masses, self.pos_probs))

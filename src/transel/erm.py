@@ -1,16 +1,18 @@
 """Exact empirical risk minimization over nested 1-D classifier hierarchies.
 
-Boundary classes are optimized with a suffix-table dynamic program over the
-grouped sample: T[g][j][s] is the least number of mistakes on groups g..m-1
-when group g carries sign s and at most j sign changes remain.  Level ERMs
-read tables over label runs, maximal stretches of distinct xs that carry one
-label (a distinct x with both labels is a run of its own): every optimal
-labeling cuts only at run edges, so after the sort an ERM costs O(runs), not
-O(n).  Tables over the distinct xs drive a best-first enumeration of
-classifiers in increasing-mistake order, which Algorithm-style intersection
-searches consume; they are built only when a search can pop.  Ties are always
-broken by the canonical key (mistakes, boundary count, boundary vector,
-plus-sign-first), so every routine is deterministic.
+A sample is its groups: its distinct xs and the (+, −) counts at each
+(:class:`LabeledSample`).  Boundary classes are optimized with a suffix-table
+dynamic program over a grouping of them: T[g][j][s] is the least number of
+mistakes on groups g..m-1 when group g carries sign s and at most j sign
+changes remain.  Level ERMs read tables over label runs, maximal stretches of
+groups that carry one label (a group with both labels is a run of its own):
+every optimal labeling cuts only at run edges, so an ERM costs O(runs), not
+O(groups).  Tables over the sample's own groups drive a best-first
+enumeration of classifiers in increasing-mistake order, which
+Algorithm-style intersection searches consume; they are built only when a
+search can pop.  Ties are always broken by the canonical key (mistakes,
+boundary count, boundary vector, plus-sign-first), so every routine is
+deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .classifiers import BoundaryGrid, BoundaryHypothesis, TabularHypothesis, midpoints
-from .distributions import LabeledSample
+from .distributions import LabeledSample, count_dtype
 
 DEFAULT_POP_CAP = 1_000_000
 
@@ -65,26 +67,20 @@ def _sign_index(sign: int) -> int:
 _SIGN_OF_INDEX = (1, -1)
 
 
-def _label_changes(xs: np.ndarray, ys: np.ndarray):
-    """Indices i of the sorted sample where ys[i] != ys[i - 1], split into
-    those where x changes too and those inside one distinct x (ties)."""
-    at = np.flatnonzero(ys[1:] != ys[:-1]) + 1
-    tie = xs[at - 1] == xs[at]
-    return at[~tie], at[tie]
-
-
 class _DpWorkspace:
-    """Suffix tables over one grouping of the sorted sample, reusable across levels.
+    """Suffix tables over one grouping of the sample, reusable across levels.
 
-    The sample is cut into consecutive groups g = 0..m-1, each given by its
-    first x ``left[g]``, its last x ``right[g]`` and its (+, −) counts; a
-    boundary falls only between groups, at (right[g-1] + left[g]) / 2.
+    The sample's distinct xs are cut into consecutive groups g = 0..m-1,
+    each given by its first x ``left[g]``, its last x ``right[g]`` and its
+    (+, −) counts; a boundary falls only between groups, at
+    (right[g-1] + left[g]) / 2.
     tables[j][g, s] = min mistakes on groups g.. with sign s at group g and at
     most j further sign changes; cs[g, s] = mistakes of the constant
     continuation.  No entry exceeds n, so all are stored as int32 (int64 past
-    its range), and every sum of entries is taken in Python ints.
+    its range), and every sum of entries is taken in Python ints.  The two
+    constructors below are the only code here that reads a sample's groups.
 
-    Two groupings are used.  :meth:`of_points` groups by distinct x, which
+    Two groupings are used.  :meth:`of_points` is the sample's own, which
     every labeling of the sample can be cut along.  :meth:`of_runs` groups by
     label runs: a run is a maximal stretch of distinct-x groups that all carry
     one label, and a group that holds both labels is a run of its own.  The
@@ -111,8 +107,7 @@ class _DpWorkspace:
 
     def __init__(self, left, right, pos, neg, max_flips: int):
         m = len(left)
-        n = int(pos.sum() + neg.sum())
-        dtype = np.int32 if n < np.iinfo(np.int32).max else np.int64
+        dtype = count_dtype(int(pos.sum()) + int(neg.sum()))
         self.left, self.right = left, right
         self.m = m
         self.dtype = dtype
@@ -132,45 +127,28 @@ class _DpWorkspace:
             tables.append(nxt)
         self.tables = tables
 
-    @staticmethod
-    def _groups(sample: LabeledSample, bounds, ties):
-        """Start index, end index and (+, −) counts of the groups that start
-        at 0 and at each index of ``bounds``.  A group holds at most one label
-        change, one of ``ties``, and the sort by (x, y) puts its −1s first."""
-        ys, n = sample.ys, len(sample)
-        starts = np.insert(bounds, 0, 0) if n else bounds
-        ends = np.append(bounds, n) if n else bounds
-        size = ends - starts
-        pos = np.where(ys[starts] == 1, size, 0)
-        mixed = np.searchsorted(bounds, ties, side="right")
-        pos[mixed] = ends[mixed] - ties
-        return starts, ends, pos, size - pos
-
     @classmethod
     def of_points(cls, sample: LabeledSample, max_flips: int) -> "_DpWorkspace":
-        """Tables over the distinct xs of the sample."""
-        xs = sample.xs
-        bounds = np.flatnonzero(xs[1:] != xs[:-1]) + 1
-        starts, _, pos, neg = cls._groups(sample, bounds, _label_changes(xs, sample.ys)[1])
-        ux = xs[starts]
-        return cls(ux, ux, pos, neg, max_flips)
+        """Tables over the sample's own groups, its distinct xs."""
+        return cls(sample.xs, sample.xs, sample.pos, sample.neg, max_flips)
 
     @classmethod
     def of_runs(cls, sample: LabeledSample, max_flips: int) -> "_DpWorkspace":
-        """Tables over the label runs of the sample, in one O(n) pass that
-        keeps O(runs) memory beyond a flag per point: the run edges are the
-        label changes between distinct xs and the two edges of each distinct
-        x that holds both labels."""
-        xs, n = sample.xs, len(sample)
-        clean, ties = _label_changes(xs, sample.ys)
-        # three sorted arrays: a stable sort merges them in linear time
-        edges = np.sort(np.concatenate(
-            (clean, np.searchsorted(xs, xs[ties], "left"), np.searchsorted(xs, xs[ties], "right"))
-        ), kind="stable")
-        keep = (edges > 0) & (edges < n)
-        keep[1:] &= edges[1:] != edges[:-1]
-        starts, ends, pos, neg = cls._groups(sample, edges[keep], ties)
-        return cls(xs[starts], xs[ends - 1], pos, neg, max_flips)
+        """Tables over the label runs of the sample, in one O(groups) pass:
+        consecutive groups of one label merge, and a group that holds both
+        labels is a run of its own."""
+        pos, neg = sample.pos, sample.neg
+        # +1 or −1 for a group of one label, 0 for a mixed one
+        kind = (pos > 0).astype(np.int8) - (neg > 0)
+        first = np.empty(len(kind), dtype=bool)
+        first[:1] = True
+        np.not_equal(kind[1:], kind[:-1], out=first[1:])
+        first |= kind == 0
+        starts = np.flatnonzero(first)
+        ends = np.append(starts[1:], len(kind)) if len(kind) else starts
+        return cls(sample.xs[starts], sample.xs[ends - 1],
+                   np.add.reduceat(pos, starts, dtype=pos.dtype),
+                   np.add.reduceat(neg, starts, dtype=neg.dtype), max_flips)
 
     def _mid(self, q: int) -> float:
         return (self.right[q - 1] + self.left[q]) / 2.0
@@ -321,8 +299,9 @@ class _DpWorkspace:
 
 
 class _SampleWorkspace:
-    """One sample's DP workspace: run-level tables for every level ERM, and
-    point-level tables built on the first search that can pop.
+    """One sample's DP workspace: run-level tables for every level ERM, until
+    the first search that can pop builds the point-level tables, which then
+    replace them.
 
     Every labeling of a level makes at least the level ERM's mistakes, so a
     search capped below them returns ``empty`` with 0 pops, read off the run
@@ -336,7 +315,10 @@ class _SampleWorkspace:
 
     @cached_property
     def points(self) -> _DpWorkspace:
-        return _DpWorkspace.of_points(self.sample, self.max_flips)
+        """The point-level tables; they replace the run tables, which give
+        the same level ERMs and would only hold memory from here on."""
+        self.runs = _DpWorkspace.of_points(self.sample, self.max_flips)
+        return self.runs
 
     def canonical_erm(self, budgets: dict[int, int]) -> ErmResult:
         return self.runs.canonical_erm(budgets)

@@ -61,7 +61,6 @@ __all__ = [
     "erm_check",
     "gap_demo",
     "records_csv_text",
-    "records_json_text",
     "run_experiment",
     "run_replicates",
     "stable_seed",
@@ -334,7 +333,7 @@ def run_replicates(cfg: ExperimentConfig, cells=None, on_draw=None) -> list[RunR
                              for learner in cfg.learners]
                     # The source sample is a replicate's largest object:
                     # free it before the next draw, not after.
-                    del fit
+                    del fit, s_p, s_q, s_hold
                 excesses = _checked_excesses(instance, [h for _, _, h, *_ in fits])
                 records += [
                     RunRecord(replicate=r, sigma=tag, n_source=n_p, n_target=n_q,
@@ -662,7 +661,7 @@ def _random_erm_case(seed: int):
     else:
         level = int(rng.integers(1, 5))
         hierarchy = OneSidedThresholdHierarchy(max_level=level)
-    sample = LabeledSample(xs, ys)
+    sample = LabeledSample.of_points(xs, ys)
     return sample, hierarchy, level
 
 
@@ -800,27 +799,19 @@ def summary_json_text(summary: dict) -> str:
     return json.dumps(summary, sort_keys=True, indent=2) + "\n"
 
 
-def records_json_text(records) -> str:
-    rows = [{c: getattr(r, c) for c in RECORD_COLUMNS} for r in records]
-    return json.dumps(rows, sort_keys=True, indent=2) + "\n"
-
-
-def write_outputs(out_dir: str, records, summary: dict, fmt: str = "csv") -> dict:
+def write_outputs(out_dir: str, records, summary: dict) -> dict:
     """Write an experiment's outputs into ``out_dir``; the only code that does.
 
-    Records go to ``records.csv``, or ``records.json`` with ``fmt="json"``,
-    unless they are None; the summary always goes to ``summary.json``.
-    Returns the path of each file written, records first.
+    Records go to ``records.csv`` unless they are None; the summary always
+    goes to ``summary.json``.  Returns the path of each file written, records
+    first.
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown records format {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     if records is not None:
-        paths["records"] = os.path.join(out_dir, f"records.{fmt}")
-        text = records_csv_text(records) if fmt == "csv" else records_json_text(records)
+        paths["records"] = os.path.join(out_dir, "records.csv")
         with open(paths["records"], "w", newline="") as fh:
-            fh.write(text)
+            fh.write(records_csv_text(records))
     paths["summary"] = os.path.join(out_dir, "summary.json")
     with open(paths["summary"], "w") as fh:
         fh.write(summary_json_text(summary))

@@ -24,7 +24,6 @@ import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .classifiers import disagreement_count
 from .distributions import LabeledSample
 from .erm import DEFAULT_POP_CAP, SEARCH_FOUND, ErmResult, SearchResult
 
@@ -148,8 +147,9 @@ class LevelContext:
     ``is_member``, ``intersection`` and ``scan`` all read these, so any
     number of questions about one sample share one workspace; its
     point-level tables are built only by a search that can pop.  A
-    hypothesis is read on the sample only through its runs: its mistakes and
-    its disagreement with a level ERM both count from them.
+    hypothesis is read on the sample only through its runs over the sample's
+    groups: its mistakes and its disagreement with a level ERM are both
+    counted from them by :class:`LabeledSample`.
     """
 
     def __init__(self, hierarchy, sample: LabeledSample, cfg: SelectionConfig):
@@ -185,7 +185,7 @@ class LevelContext:
     def disagreement(self, runs, level: int) -> float:
         """Share of the nonempty sample where the hypothesis with ``runs``
         and the level ERM differ."""
-        return disagreement_count(runs, self.erm_runs[level], self.n) / self.n
+        return self.sample.disagreements(runs, self.erm_runs[level]) / self.n
 
     def is_member(self, h, level: int) -> bool:
         """Membership in the level's empirical minimal set.
@@ -319,7 +319,7 @@ def algorithm2(fit: Fit, candidate):
         a = complexity_term(n_hold, cfg.delta, 1)
         runs_c, runs_t = candidate.runs(holdout_sample.xs), target_h.runs(holdout_sample.xs)
         lhs = holdout_sample.mistakes(runs_c) / n_hold - holdout_sample.mistakes(runs_t) / n_hold
-        dis = disagreement_count(runs_c, runs_t, n_hold) / n_hold
+        dis = holdout_sample.disagreements(runs_c, runs_t) / n_hold
         rhs = math.sqrt(dis * a) + cfg.c * a
         accepted = lhs <= rhs
     trace = SelectionTrace(

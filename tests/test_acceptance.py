@@ -46,6 +46,8 @@ from transel.harness import (
 )
 from transel.selection import LevelContext, SelectionConfig
 
+from point_oracle import points
+
 
 def _rng(*parts):
     return np.random.default_rng(stable_seed(*parts))
@@ -61,7 +63,7 @@ def test_exact_solver_matches_bruteforce_on_random_cases():
         ys = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
         from transel.distributions import LabeledSample
 
-        sample = LabeledSample(xs, ys)
+        sample = LabeledSample.of_points(xs, ys)
         level = int(rng.integers(0, 5))
         got = hierarchy.erm(sample, level).mistakes
         want = erm_bruteforce(sample, hierarchy.flip_budgets(level)).mistakes
@@ -100,7 +102,8 @@ def test_closed_form_risk_matches_monte_carlo():
         dist, h = _random_risk_pair(rng)
         exact = dist.expected_risk(h)
         s = dist.sample(m, rng)
-        mc = float(np.mean(h.evaluate_many(s.xs) != s.ys))
+        xs, ys = points(s)
+        mc = float(np.mean(h.evaluate_many(xs) != ys))
         tol = 4.0 * math.sqrt(exact * (1.0 - exact) / m) + 10.0 / m
         assert abs(mc - exact) <= tol, f"case {case}: |{mc} - {exact}| > {tol}"
     assert time.perf_counter() - t0 < 60.0

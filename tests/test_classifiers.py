@@ -12,12 +12,12 @@ from transel.classifiers import (
     BoundaryGrid,
     BoundaryHypothesis,
     TabularHypothesis,
-    disagreement_count,
     midpoints,
 )
 from transel.distributions import LabeledSample
 from transel.erm import BoundaryClassHierarchy, FiniteClassHierarchy
 
+from point_oracle import points
 from risk_oracle import sign_on_interval_right_of
 
 
@@ -74,6 +74,9 @@ def _labels_from_runs(runs, n: int) -> list[int]:
 
 
 class TestDisagreementCount:
+    """``LabeledSample.mistakes``/``disagreements`` read group prefix counts;
+    the expanded points are their oracle."""
+
     def test_cut_indices_put_boundary_points_left(self):
         xs = np.asarray([0.0, 0.5, 0.5, 1.0])
         assert BoundaryHypothesis((0.5,), 1).runs(xs) == ((3,), 1)
@@ -82,11 +85,12 @@ class TestDisagreementCount:
         assert TabularHypothesis((0.0, 0.5, 1.0), (-1, 1, 1)).runs(xs) == ((1,), -1)
 
     def test_hand_value(self):
-        xs = np.asarray([0.0, 1.0, 2.0, 3.0])
+        sample = LabeledSample.of_points([0.0, 1.0, 2.0, 3.0], [1, 1, 1, 1])
+        xs = sample.xs
         h1, h2 = BoundaryHypothesis((), 1), BoundaryHypothesis((1.5,), 1)
-        assert disagreement_count(h1.runs(xs), h2.runs(xs), 4) == 2
+        assert sample.disagreements(h1.runs(xs), h2.runs(xs)) == 2
         h3 = TabularHypothesis((0.0, 1.0, 2.0, 3.0), (1, -1, -1, 1))
-        assert disagreement_count(h1.runs(xs), h3.runs(xs), 4) == 2
+        assert sample.disagreements(h1.runs(xs), h3.runs(xs)) == 2
 
     @given(
         st.lists(st.tuples(_GRID, st.sampled_from([-1, 1])), max_size=12),
@@ -94,18 +98,20 @@ class TestDisagreementCount:
         _CLASSIFIERS,
     )
     @settings(max_examples=400, deadline=None)
-    def test_matches_pointwise_count(self, points, h1, h2):
-        sample = LabeledSample(
-            np.asarray([x for x, _ in points], dtype=float),
-            np.asarray([y for _, y in points], dtype=np.int8),
+    def test_matches_pointwise_count(self, pairs, h1, h2):
+        sample = LabeledSample.of_points(
+            np.asarray([x for x, _ in pairs], dtype=float),
+            np.asarray([y for _, y in pairs], dtype=np.int8),
         )
-        xs, n = sample.xs, len(sample)
+        xs, (point_xs, point_ys), n = sample.xs, points(sample), len(sample)
+        assert point_xs.size == n
         for h in (h1, h2):
-            labels = h.evaluate_many(xs)
-            assert _labels_from_runs(h.runs(xs), n) == labels.tolist()
-            assert sample.mistakes(h.runs(xs)) == int(np.sum(labels != sample.ys))
-        differ = h1.evaluate_many(xs) != h2.evaluate_many(xs)
-        got = disagreement_count(h1.runs(xs), h2.runs(xs), n)
+            assert _labels_from_runs(h.runs(xs), len(xs)) == h.evaluate_many(xs).tolist()
+            labels = h.evaluate_many(point_xs)
+            assert _labels_from_runs(h.runs(point_xs), n) == labels.tolist()
+            assert sample.mistakes(h.runs(xs)) == int(np.sum(labels != point_ys))
+        differ = h1.evaluate_many(point_xs) != h2.evaluate_many(point_xs)
+        got = sample.disagreements(h1.runs(xs), h2.runs(xs))
         assert got == int(np.sum(differ))
         if n > 0:
             assert got / n == float(np.mean(differ))
@@ -113,8 +119,8 @@ class TestDisagreementCount:
     @pytest.mark.parametrize("n", [0, 1])
     @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     def test_tiny_samples(self, n, signs):
-        sample = LabeledSample(np.full(n, 0.5), np.full(n, signs[0], dtype=np.int8))
-        xs = sample.xs
+        sample = LabeledSample.of_points(np.full(n, 0.5), np.full(n, signs[0], dtype=np.int8))
+        xs, (point_xs, point_ys) = sample.xs, points(sample)
         hyps = (
             BoundaryHypothesis((), signs[0]),
             BoundaryHypothesis((0.5,), signs[1]),
@@ -122,10 +128,11 @@ class TestDisagreementCount:
             TabularHypothesis((0.25, 0.5), (signs[0], -signs[1])),
         )
         for h1, h2 in itertools.product(hyps, repeat=2):
-            want = int(np.sum(h1.evaluate_many(xs) != h2.evaluate_many(xs)))
-            assert disagreement_count(h1.runs(xs), h2.runs(xs), n) == want
+            want = int(np.sum(h1.evaluate_many(point_xs) != h2.evaluate_many(point_xs)))
+            assert sample.disagreements(h1.runs(xs), h2.runs(xs)) == want
         for h in hyps:
-            assert sample.mistakes(h.runs(xs)) == int(np.sum(h.evaluate_many(xs) != sample.ys))
+            want = int(np.sum(h.evaluate_many(point_xs) != point_ys))
+            assert sample.mistakes(h.runs(xs)) == want
 
 
 class TestTabularHypothesis:

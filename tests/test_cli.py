@@ -60,9 +60,12 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["explode"])
 
-    def test_bad_format_value(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["run", "--config", _curve_cfg(tmp_path), "--format", "xml"])
+    def test_bad_format_value(self, tmp_path, capsys):
+        # records are always CSV, so there is no --format flag to set
+        for fmt in ("xml", "json", "csv"):
+            with pytest.raises(SystemExit):
+                main(["run", "--config", _curve_cfg(tmp_path), "--format", fmt])
+            assert "unrecognized arguments: --format" in capsys.readouterr().err
 
     def test_config_typo_exits_with_message(self, tmp_path):
         payload = {"family": "threshold_nn", "family_params": {"rhos": [1.0]}}
@@ -190,13 +193,13 @@ class TestRunCommand:
         assert len(_read_csv_rows(out / "records.csv")) == 4 * 3
 
     def test_json_format(self, tmp_path):
+        # records have one serialization, CSV; JSON is the summary's alone
         out = tmp_path / "out"
-        main(["run", "--config", _curve_cfg(tmp_path), "--out", str(out),
-              "--format", "json"])
-        assert not (out / "records.csv").exists()
-        rows = json.loads((out / "records.json").read_text())
+        main(["run", "--config", _curve_cfg(tmp_path), "--out", str(out)])
+        assert sorted(os.listdir(out)) == ["records.csv", "summary.json"]
+        rows = _read_csv_rows(out / "records.csv")
         assert len(rows) == 2 * 3
-        assert set(rows[0]) == set(RECORD_COLUMNS)
+        assert list(rows[0]) == list(RECORD_COLUMNS)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _curve_cfg(tmp_path)

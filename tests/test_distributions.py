@@ -20,6 +20,7 @@ from transel.distributions import (
     _GRID_BLOCK,
 )
 
+from point_oracle import points
 from risk_oracle import disagreement_mass, expected_risk, same_bits
 
 
@@ -122,14 +123,49 @@ class TestSegment:
 
 class TestLabeledSample:
     def test_canonical_sort(self):
-        s = LabeledSample(np.asarray([2.0, 0.0, 1.0]), np.asarray([1, -1, 1]))
+        s = LabeledSample.of_points(np.asarray([2.0, 0.0, 1.0]), np.asarray([1, -1, 1]))
         assert list(s.xs) == [0.0, 1.0, 2.0]
-        assert list(s.ys) == [-1, 1, 1]
+        assert [y.tolist() for y in points(s)] == [[0.0, 1.0, 2.0], [-1, 1, 1]]
         assert len(s) == 3
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            LabeledSample(np.zeros(3), np.zeros(2, dtype=np.int8))
+            LabeledSample.of_points(np.zeros(3), np.zeros(2, dtype=np.int8))
+
+    def test_groups_count_ties(self):
+        s = LabeledSample.of_points([0.5, 0.1, 0.5, 0.5, 0.1], [1, -1, -1, 1, -1])
+        assert (s.xs.tolist(), s.pos.tolist(), s.neg.tolist()) == ([0.1, 0.5], [0, 2], [2, 1])
+        assert len(s) == 5 and s.pos.dtype == s.neg.dtype == np.int32
+
+    @pytest.mark.parametrize(
+        "ys", [[0, 2], np.array([1, 255], dtype=np.int64), [1.0, 0.5]],
+        ids=["zero_and_two", "255", "fraction"])
+    def test_rejects_labels_outside_plus_minus_one(self, ys):
+        with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+            LabeledSample.of_points([0.1, 0.2], ys)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_xs(self, bad):
+        with pytest.raises(ValueError, match="xs must be finite"):
+            LabeledSample.of_points([0.1, bad], [1, -1])
+
+    @given(st.lists(st.tuples(st.sampled_from((0.0, 0.25, 0.5, 1.0)), st.sampled_from((-1, 1))),
+                    max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_points_reproduce_the_sort_by_x_then_y(self, pairs):
+        xs = np.asarray([x for x, _ in pairs], dtype=float)
+        ys = np.asarray([y for _, y in pairs], dtype=np.int8)
+        order = np.lexsort((ys, xs))
+        got_xs, got_ys = points(LabeledSample.of_points(xs, ys))
+        assert got_xs.tolist() == xs[order].tolist()
+        assert got_ys.dtype == np.int8 and got_ys.tolist() == ys[order].tolist()
+
+    @given(st.integers(1, 6), st.integers(0, 500), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_discrete_sample_has_at_most_one_group_per_atom(self, d, n, seed):
+        dist = DiscreteDistribution(range(d), [1.0 / d] * d, [0.5] * d)
+        s = dist.sample(n, np.random.default_rng(seed))
+        assert len(s) == n and len(s.xs) <= d
 
 
 class TestPiecewiseRisk:
@@ -357,8 +393,8 @@ class TestSampling:
         dist = _two_segment_dist()
         a = dist.sample(500, np.random.default_rng(41))
         b = dist.sample(500, np.random.default_rng(41))
-        np.testing.assert_array_equal(a.xs, b.xs)
-        np.testing.assert_array_equal(a.ys, b.ys)
+        for x, y in zip(points(a), points(b)):
+            np.testing.assert_array_equal(x, y)
         c = dist.sample(500, np.random.default_rng(42))
         assert not np.array_equal(a.xs, c.xs)
 
@@ -367,19 +403,21 @@ class TestSampling:
         s = dist.sample(2000, np.random.default_rng(7))
         lo, hi = dist.support
         assert np.all((s.xs >= lo) & (s.xs <= hi))
-        assert set(np.unique(s.ys)) <= {-1, 1}
+        assert set(np.unique(points(s)[1])) <= {-1, 1}
 
     def test_empty_sample(self):
         dist = _two_segment_dist()
         s = dist.sample(0, np.random.default_rng(1))
-        assert len(s) == 0 and s.xs.dtype == float and s.ys.dtype == np.int8
+        xs, ys = points(s)
+        assert len(s) == 0 and xs.dtype == float and ys.dtype == np.int8
 
     def test_monte_carlo_matches_exact_risk(self):
         dist = _two_segment_dist()
         h = BoundaryHypothesis((0.8, 1.3), 1)
         m = 200_000
         s = dist.sample(m, np.random.default_rng(321))
-        emp = float(np.mean(h.evaluate_many(s.xs) != s.ys))
+        xs, ys = points(s)
+        emp = float(np.mean(h.evaluate_many(xs) != ys))
         r = dist.expected_risk(h)
         tol = 4.0 * np.sqrt(r * (1.0 - r) / m) + 10.0 / m
         assert abs(emp - r) <= tol
@@ -387,7 +425,7 @@ class TestSampling:
     def test_segment_proportions(self):
         dist = _two_segment_dist()
         s = dist.sample(100_000, np.random.default_rng(5))
-        frac = float(np.mean(s.xs <= 1.0))
+        frac = float(np.mean(points(s)[0] <= 1.0))
         assert frac == pytest.approx(0.6, abs=0.01)
 
 
@@ -422,8 +460,8 @@ class TestDiscrete:
         d = self._dist()
         a = d.sample(1000, np.random.default_rng(3))
         b = d.sample(1000, np.random.default_rng(3))
-        np.testing.assert_array_equal(a.xs, b.xs)
-        np.testing.assert_array_equal(a.ys, b.ys)
+        for x, y in zip(points(a), points(b)):
+            np.testing.assert_array_equal(x, y)
         assert set(np.unique(a.xs)) <= {0.0, 1.0, 2.0}
 
     def test_mass_validation(self):

@@ -23,9 +23,11 @@ from transel.erm import (
 from transel.families import build_threshold_nn
 from transel.selection import LevelContext, SelectionConfig
 
+from point_oracle import points
+
 
 def _sample(xs, ys) -> LabeledSample:
-    return LabeledSample(np.asarray(xs, dtype=float), np.asarray(ys, dtype=np.int8))
+    return LabeledSample.of_points(xs, ys)
 
 
 def _random_case(seed: int):
@@ -106,7 +108,7 @@ class TestDpAgainstBruteforce:
         s = _sample(xs, truth.evaluate_many(xs))
         res = BoundaryClassHierarchy(max_level=3).erm(s, 2)
         assert res.mistakes == 0
-        assert np.array_equal(res.hypothesis.evaluate_many(xs), s.ys)
+        assert np.array_equal(res.hypothesis.evaluate_many(xs), points(s)[1])
 
     def test_empty_sample_constant(self):
         s = _sample([], [])
@@ -222,6 +224,18 @@ class TestRunLevelTables:
         for level in range(3):
             budgets = {1: level, -1: level}
             assert ws.canonical_erm(budgets) == erm_bruteforce(s, budgets)
+
+    @given(sample=_labeled_samples(max_n=40), which=st.integers(0, 1))
+    @settings(max_examples=100, deadline=None)
+    def test_point_tables_replace_the_run_tables(self, sample, which):
+        hierarchy = _HIERARCHIES[which]
+        levels = range(hierarchy.min_level, hierarchy.max_level + 1)
+        ws = hierarchy.make_workspace(sample)
+        before = [ws.canonical_erm(hierarchy.flip_budgets(level)) for level in levels]
+        res = ws.search(hierarchy.flip_budgets(hierarchy.max_level), lambda h, m: True)
+        assert res.status == SEARCH_FOUND and res.pops >= 1
+        assert ws.runs is ws.points
+        assert [ws.canonical_erm(hierarchy.flip_budgets(level)) for level in levels] == before
 
     def test_point_tables_are_int32(self):
         rng = np.random.default_rng(0)

@@ -193,7 +193,7 @@ class TestGapFamily:
 
     def test_empirical_event_b_uses_closed_intervals(self):
         def sample(*xs):
-            return LabeledSample(np.array(xs), np.ones(len(xs)))
+            return LabeledSample.of_points(np.array(xs), np.ones(len(xs)))
 
         _, left_out, left_in, right_in, right_out, _ = GAP_EDGES
         middle = sample(left_in, 0.5, right_in)

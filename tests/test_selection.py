@@ -36,9 +36,11 @@ from transel.selection import (
     target_only_srm,
 )
 
+from point_oracle import points
+
 
 def _sample(xs, ys) -> LabeledSample:
-    return LabeledSample(np.asarray(xs, dtype=float), np.asarray(ys, dtype=np.int8))
+    return LabeledSample.of_points(xs, ys)
 
 
 def _labeled_by(truth: BoundaryHypothesis, n: int, seed: int, flip=0.0) -> LabeledSample:
@@ -138,13 +140,14 @@ class TestMinimalSets:
         sample = _sample(xs, ys)
         n = len(sample)
         ctx = LevelContext(hierarchy, sample, cfg)
+        point_xs, point_ys = points(sample)
         for level in range(4):
             erm = hierarchy.erm(sample, level)
             a = complexity_term(n, level_confidence(cfg.delta, level, 0), hierarchy.vc_dim(level))
             for h in hierarchy.enumerate_on(np.unique(sample.xs), 3):
-                gap = (int(np.sum(h.evaluate_many(sample.xs) != sample.ys)) - erm.mistakes) / n
+                gap = (int(np.sum(h.evaluate_many(point_xs) != point_ys)) - erm.mistakes) / n
                 dis = float(np.mean(
-                    h.evaluate_many(sample.xs) != erm.hypothesis.evaluate_many(sample.xs)
+                    h.evaluate_many(point_xs) != erm.hypothesis.evaluate_many(point_xs)
                 ))
                 want = gap <= cfg.C * math.sqrt(dis * a) + cfg.c * a
                 assert ctx.is_member(h, level) == want
@@ -180,7 +183,8 @@ class TestIntersectionScan:
         sample = _labeled_by(truth, 3000, seed=3)
         level, h, _ = LevelContext(hierarchy, sample, SelectionConfig()).scan()
         assert level == 2
-        assert np.array_equal(h.evaluate_many(sample.xs), sample.ys)
+        xs, ys = points(sample)
+        assert np.array_equal(h.evaluate_many(xs), ys)
 
     def test_scan_on_constant_data_stops_at_floor(self):
         hierarchy = BoundaryClassHierarchy(max_level=3)
@@ -351,7 +355,8 @@ class TestAdaptiveProcedure:
         assert trace.branch == BRANCH_SOURCE
         assert trace.source_level == 2
         assert trace.chosen_level == 2
-        assert np.array_equal(chosen.evaluate_many(source.xs), source.ys)
+        xs, ys = points(source)
+        assert np.array_equal(chosen.evaluate_many(xs), ys)
         assert set(trace.diagnostics) == {"source", "target"}
 
     def test_target_branch_on_flipped_source(self):
@@ -463,9 +468,10 @@ class TestTabularFallback:
         assert (trace.source_level, trace.candidate) == (source_level, rep)
         assert (trace.target_level, trace.target_hypothesis) == (target_level, target_h)
         a = complexity_term(len(hold), cfg.delta, 1)
-        dis = float(np.mean(rep.evaluate_many(hold.xs) != target_h.evaluate_many(hold.xs)))
-        lhs = (float(np.mean(rep.evaluate_many(hold.xs) != hold.ys))
-               - float(np.mean(target_h.evaluate_many(hold.xs) != hold.ys)))
+        hold_xs, hold_ys = points(hold)
+        dis = float(np.mean(rep.evaluate_many(hold_xs) != target_h.evaluate_many(hold_xs)))
+        lhs = (float(np.mean(rep.evaluate_many(hold_xs) != hold_ys))
+               - float(np.mean(target_h.evaluate_many(hold_xs) != hold_ys)))
         rhs = math.sqrt(dis * a) + cfg.c * a
         assert (trace.test_lhs, trace.test_rhs) == (lhs, rhs)
         assert chosen == (rep if lhs <= rhs else target_h)
@@ -477,7 +483,8 @@ class TestTabularFallback:
         _, trace = algorithm2(Fit(hierarchy, None, target, hold, cfg), candidate)
         target_h = trace.target_hypothesis
         a = complexity_term(len(hold), cfg.delta, 1)
-        dis = float(np.mean(candidate.evaluate_many(hold.xs) != target_h.evaluate_many(hold.xs)))
+        hold_xs = points(hold)[0]
+        dis = float(np.mean(candidate.evaluate_many(hold_xs) != target_h.evaluate_many(hold_xs)))
         assert trace.test_rhs == math.sqrt(dis * a) + cfg.c * a
 
     def test_seeds_cover_levels_search_and_both_branches(self):
