@@ -3,14 +3,14 @@
 Two representations cover everything the experiments need: piecewise
 distributions whose marginal is a mixture of uniform or one-sided power-law
 segments, and discrete distributions over a finite support.  Both expose
-exact expected risk, Bayes risk, and disagreement mass, plus seeded sampling
+exact expected risk and disagreement mass, plus seeded sampling
 with a fixed two-uniforms-per-draw stream layout so that samples are
 reproducible across label-law changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +26,7 @@ _GRID_BLOCK = 2048
 
 @dataclass(frozen=True)
 class Uniform:
-    kind: str = field(default="uniform", init=False)
+    """Constant density on the segment."""
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class PowerLaw:
 
     anchor: float
     exponent: float
-    kind: str = field(default="power", init=False)
 
     def __post_init__(self):
         if self.exponent <= 0:
@@ -54,7 +53,6 @@ def _power_antideriv(t: np.ndarray, anchor: float, p: float) -> np.ndarray:
 @dataclass(frozen=True)
 class Deterministic:
     label: int
-    kind: str = field(default="det", init=False)
 
     def __post_init__(self):
         if self.label not in (-1, 1):
@@ -66,7 +64,6 @@ class Bernoulli:
     """P[Y = +1 | X in segment] = q."""
 
     q: float
-    kind: str = field(default="bern", init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.q <= 1.0:
@@ -100,12 +97,6 @@ def _grid_blocks(grid: BoundaryGrid):
         for start in range(0, len(rows), _GRID_BLOCK):
             block = rows[start:start + _GRID_BLOCK]
             yield block, grid.bounds[block, :k], grid.signs[block]
-
-
-def _label_bayes(law) -> float:
-    if isinstance(law, Deterministic):
-        return 0.0
-    return min(law.q, 1.0 - law.q)
 
 
 @dataclass(frozen=True)
@@ -157,7 +148,7 @@ def count_dtype(n: int):
     return np.int32 if n < np.iinfo(np.int32).max else np.int64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledSample:
     """Labeled sample as groups: its distinct ``xs``, ascending, and the
     (+, −) counts ``pos``/``neg`` of the points at each.
@@ -167,6 +158,7 @@ class LabeledSample:
     so the groups are all it keeps; ``len`` is still the number of points.  A
     hypothesis is read on the sample only through its ``runs(xs)``, whose
     cuts are group indices, and both counts are made from those runs.
+    Samples compare and hash by identity.
     """
 
     xs: np.ndarray
@@ -274,16 +266,14 @@ class PiecewiseDistribution:
             pick = idx == i
             if not np.any(pick):
                 continue
-            local = (u[pick, 0] - self._cum[i]) / max(seg.mass, _EDGE_TOL)
-            xs[pick] = seg.quantile(np.clip(local, 0.0, 1.0))
+            xs[pick] = seg.quantile(
+                np.clip((u[pick, 0] - self._cum[i]) / max(seg.mass, _EDGE_TOL), 0.0, 1.0))
             if isinstance(seg.label_law, Deterministic):
                 ys[pick] = seg.label_law.label
             else:
                 ys[pick] = np.where(u[pick, 1] < seg.label_law.q, 1, -1)
+        del u, idx, pick  # 24 bytes a point and the last mask: free them before grouping
         return LabeledSample.of_points(xs, ys)
-
-    def bayes_risk(self) -> float:
-        return sum(s.mass * _label_bayes(s.label_law) for s in self.segments)
 
     def expected_risk(self, h: BoundaryHypothesis) -> float:
         """Exact risk of ``h``: one row of :meth:`expected_risks`."""
@@ -376,10 +366,8 @@ class DiscreteDistribution:
         idx = np.clip(idx, 0, len(self.points) - 1)
         xs = self._points[idx]
         ys = np.where(u[:, 1] < self._pos_probs[idx], 1, -1)
+        del u, idx  # 24 bytes a point: free them before grouping
         return LabeledSample.of_points(xs, ys)
-
-    def bayes_risk(self) -> float:
-        return sum(m * min(q, 1.0 - q) for m, q in zip(self.masses, self.pos_probs))
 
     def expected_risk(self, h) -> float:
         """Exact risk of ``h``: one row of :meth:`expected_risks`."""

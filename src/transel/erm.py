@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -58,6 +59,11 @@ class SearchResult:
     hypothesis: object | None
     mistakes: int | None
     pops: int
+
+
+def _check_level(hierarchy, level: int):
+    if not hierarchy.min_level <= level <= hierarchy.max_level:
+        raise ValueError(f"level {level} outside [{hierarchy.min_level}, {hierarchy.max_level}]")
 
 
 def _sign_index(sign: int) -> int:
@@ -332,29 +338,20 @@ class _SampleWorkspace:
 class _NestedBoundaryHierarchy:
     """Shared machinery for hierarchies indexed by a sign-change budget.
 
-    Subclasses define ``_floor_level``, ``flip_budgets`` and ``vc_dim``.
+    Subclasses define the floor ``min_level``, ``flip_budgets`` and ``vc_dim``.
     """
 
-    def __init__(self, max_level: int, min_level: int):
-        if min_level < self._floor_level():
-            raise ValueError(f"min_level must be >= {self._floor_level()}")
-        if max_level < min_level:
-            raise ValueError("need max_level >= min_level")
-        self.min_level = min_level
+    def __init__(self, max_level: int):
+        if max_level < self.min_level:
+            raise ValueError(f"need max_level >= {self.min_level}")
         self.max_level = max_level
-
-    def _check_level(self, level: int):
-        if not self.min_level <= level <= self.max_level:
-            raise ValueError(
-                f"level {level} outside [{self.min_level}, {self.max_level}]"
-            )
 
     def make_workspace(self, sample: LabeledSample) -> _SampleWorkspace:
         max_flips = max(self.flip_budgets(self.max_level).values())
         return _SampleWorkspace(sample, max_flips)
 
     def erm(self, sample, level, workspace=None) -> ErmResult:
-        self._check_level(level)
+        _check_level(self, level)
         ws = workspace if workspace is not None else self.make_workspace(sample)
         return ws.canonical_erm(self.flip_budgets(level))
 
@@ -362,12 +359,12 @@ class _NestedBoundaryHierarchy:
         self, sample, level, predicate, mistake_cap=None,
         pop_cap=DEFAULT_POP_CAP, workspace=None,
     ) -> SearchResult:
-        self._check_level(level)
+        _check_level(self, level)
         ws = workspace if workspace is not None else self.make_workspace(sample)
         return ws.search(self.flip_budgets(level), predicate, mistake_cap, pop_cap)
 
     def contains(self, h: BoundaryHypothesis, level: int) -> bool:
-        self._check_level(level)
+        _check_level(self, level)
         budget = self.flip_budgets(level).get(h.first_sign)
         return budget is not None and h.boundary_count <= budget
 
@@ -381,18 +378,14 @@ class _NestedBoundaryHierarchy:
 class BoundaryClassHierarchy(_NestedBoundaryHierarchy):
     """Level i = classifiers with at most i boundaries, either leading sign."""
 
-    def __init__(self, max_level: int, min_level: int = 0):
-        super().__init__(max_level, min_level)
-
-    def _floor_level(self) -> int:
-        return 0
+    min_level = 0
 
     def flip_budgets(self, level: int) -> dict[int, int]:
-        self._check_level(level)
+        _check_level(self, level)
         return {1: level, -1: level}
 
     def vc_dim(self, level: int) -> int:
-        self._check_level(level)
+        _check_level(self, level)
         return level + 1
 
 
@@ -402,18 +395,14 @@ class OneSidedThresholdHierarchy(_NestedBoundaryHierarchy):
     a one-shorter positive lead (level 2 = thresholds plus positive-inside
     intervals, with reversed thresholds as their unbounded limits)."""
 
-    def __init__(self, max_level: int, min_level: int = 1):
-        super().__init__(max_level, min_level)
-
-    def _floor_level(self) -> int:
-        return 1
+    min_level = 1
 
     def flip_budgets(self, level: int) -> dict[int, int]:
-        self._check_level(level)
+        _check_level(self, level)
         return {-1: level, 1: level - 1}
 
     def vc_dim(self, level: int) -> int:
-        self._check_level(level)
+        _check_level(self, level)
         return level
 
 
@@ -445,38 +434,37 @@ class FiniteClassHierarchy:
         self.max_level = keys[-1]
         self.levels = {k: tuple(levels[k]) for k in keys}
         self.vc_dims = vc_dims
+        # (first level, h) over the top level in canonical order, fixed once
+        first = {h: k for k in reversed(keys) for h in levels[k]}
+        self._canonical = tuple(
+            (first[h], h) for h in sorted(self.levels[keys[-1]], key=hypothesis_sort_key))
 
     def vc_dim(self, level: int) -> int:
-        if not self.min_level <= level <= self.max_level:
-            raise ValueError(f"level {level} outside [{self.min_level}, {self.max_level}]")
+        _check_level(self, level)
         return self.vc_dims[level - self.min_level]
 
-    def make_workspace(self, sample: LabeledSample) -> dict:
-        return {"ranked": {}}
-
-    def _ranked(self, sample, level, workspace):
-        if workspace is not None and level in workspace["ranked"]:
-            return workspace["ranked"][level]
-        ranked = sorted(
-            ((mistake_count(h, sample), hypothesis_sort_key(h), h)
-             for h in self.levels[level]),
-            key=lambda t: (t[0], t[1]),
-        )
-        if workspace is not None:
-            workspace["ranked"][level] = ranked
-        return ranked
+    def make_workspace(self, sample: LabeledSample) -> list:
+        """The top level ranked on ``sample``: ``(mistakes, first level, h)``
+        by mistakes, ties in canonical order.  Each level's ranking is this
+        list without the hypotheses whose first level lies above it."""
+        return sorted(((mistake_count(h, sample), first, h) for first, h in self._canonical),
+                      key=itemgetter(0))
 
     def erm(self, sample, level, workspace=None) -> ErmResult:
-        ranked = self._ranked(sample, level, workspace)
-        mistakes, _, h = ranked[0]
-        return ErmResult(h, mistakes)
+        _check_level(self, level)
+        ws = workspace if workspace is not None else self.make_workspace(sample)
+        return next(ErmResult(h, mistakes) for mistakes, first, h in ws if first <= level)
 
     def search_min_mistakes(
         self, sample, level, predicate, mistake_cap=None,
         pop_cap=DEFAULT_POP_CAP, workspace=None,
     ) -> SearchResult:
+        _check_level(self, level)
+        ws = workspace if workspace is not None else self.make_workspace(sample)
         pops = 0
-        for mistakes, _, h in self._ranked(sample, level, workspace):
+        for mistakes, first, h in ws:
+            if first > level:
+                continue
             if mistake_cap is not None and mistakes > mistake_cap:
                 break
             pops += 1

@@ -120,14 +120,14 @@ class TransferInstance:
         return self.truth[level]
 
 
-def _alternating_uniform(cuts, lo=0.0, hi=1.0, first_sign=1) -> PiecewiseDistribution:
-    """Uniform marginal on [lo, hi] with deterministic labels flipping at cuts."""
-    edges = [lo, *cuts, hi]
-    width = hi - lo
+def _alternating_uniform(cuts) -> PiecewiseDistribution:
+    """Uniform marginal on [0, 1] with deterministic labels flipping at cuts,
+    starting at +1."""
+    edges = [0.0, *cuts, 1.0]
     segs = []
-    sign = first_sign
+    sign = 1
     for a, b in zip(edges, edges[1:]):
-        segs.append(Segment(a, b, (b - a) / width, Uniform(), Deterministic(sign)))
+        segs.append(Segment(a, b, b - a, Uniform(), Deterministic(sign)))
         sign = -sign
     return PiecewiseDistribution(tuple(segs))
 
@@ -160,6 +160,15 @@ def _staircase_source(rhos):
     return PiecewiseDistribution(tuple(segs)), anchors, z
 
 
+def _staircase_truth(rhos, z, excess_q) -> dict[int, LevelTruth]:
+    """Each level i's truth over the staircase source with normalizer z:
+    exponent rhos[i-1] with its exact coefficient, and ``excess_q(i)``, the
+    target excess risk of the level's source optimum."""
+    return {i: LevelTruth(rho=rho, rho_const=z ** (1.0 / rho) * 2.0 ** (2 * i + i / rho),
+                          excess_q_of_source_opt=excess_q(i))
+            for i, rho in enumerate(rhos, 1)}
+
+
 def _validate_rhos(rhos):
     if not rhos:
         raise ValueError("need at least one level exponent")
@@ -178,21 +187,12 @@ def build_threshold_nn(rhos) -> TransferInstance:
     _validate_rhos(rhos)
     levels = len(rhos)
     source, anchors, z = _staircase_source(rhos)
-    target = _alternating_uniform(anchors)
-    truth = {}
-    for k, rho in enumerate(rhos):
-        i = k + 1
-        truth[i] = LevelTruth(
-            rho=rho,
-            rho_const=z ** (1.0 / rho) * 2.0 ** (2 * i + i / rho),
-            excess_q_of_source_opt=math.ceil((levels - i) / 2) / (levels + 1),
-        )
     return TransferInstance(
         family="threshold_nn",
         source=source,
-        target=target,
+        target=_alternating_uniform(anchors),
         hierarchy=BoundaryClassHierarchy(max_level=levels),
-        truth=truth,
+        truth=_staircase_truth(rhos, z, lambda i: math.ceil((levels - i) / 2) / (levels + 1)),
         i_star_source=levels,
         i_star_target=levels,
         optimal_risk_source=0.0,
@@ -210,21 +210,12 @@ def build_shifted_target(rhos=(1.0, 1.0, 2.0)) -> TransferInstance:
         raise ValueError("shifted-target construction is defined for exactly 3 levels")
     source, anchors, z = _staircase_source(rhos)
     shifted = [(anchors[0] + anchors[1]) / 2, (anchors[1] + anchors[2]) / 2, (anchors[2] + 1.0) / 2]
-    target = _alternating_uniform(shifted)
-    truth = {}
-    for k, rho in enumerate(rhos):
-        i = k + 1
-        truth[i] = LevelTruth(
-            rho=rho,
-            rho_const=z ** (1.0 / rho) * 2.0 ** (2 * i + i / rho),
-            excess_q_of_source_opt=3.0 / 8.0,
-        )
     return TransferInstance(
         family="shifted_target",
         source=source,
-        target=target,
+        target=_alternating_uniform(shifted),
         hierarchy=BoundaryClassHierarchy(max_level=3),
-        truth=truth,
+        truth=_staircase_truth(rhos, z, lambda i: 3.0 / 8.0),
         i_star_source=3,
         i_star_target=3,
         optimal_risk_source=0.0,

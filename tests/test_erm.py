@@ -1,5 +1,7 @@
 """Exact ERM: dynamic program vs exhaustive search, and best-first enumeration."""
 
+import itertools
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -13,14 +15,16 @@ from transel.erm import (
     SEARCH_FOUND,
     SEARCH_INCONCLUSIVE,
     BoundaryClassHierarchy,
+    ErmResult,
     FiniteClassHierarchy,
     OneSidedThresholdHierarchy,
+    SearchResult,
     _DpWorkspace,
     erm_bruteforce,
     hypothesis_sort_key,
     mistake_count,
 )
-from transel.families import build_threshold_nn
+from transel.families import build_gap_family, build_threshold_nn, build_two_point_family
 from transel.selection import LevelContext, SelectionConfig
 
 from point_oracle import points
@@ -354,9 +358,7 @@ class TestHierarchies:
         with pytest.raises(ValueError):
             h.flip_budgets(3)
         with pytest.raises(ValueError):
-            OneSidedThresholdHierarchy(max_level=2, min_level=0)
-        with pytest.raises(ValueError):
-            BoundaryClassHierarchy(max_level=0, min_level=1)
+            OneSidedThresholdHierarchy(max_level=0)
 
 
 class TestFiniteClassHierarchy:
@@ -387,3 +389,86 @@ class TestFiniteClassHierarchy:
             FiniteClassHierarchy({1: (a, c), 2: (a,)}, vc_dims=(1, 1))
         with pytest.raises(ValueError):
             FiniteClassHierarchy({1: (a,), 3: (a, c)}, vc_dims=(1, 2))
+
+
+def _mixed_finite_class():
+    """Boundary and tabular classifiers on the support (0, 0.5, 1), listed out
+    of canonical order, where behaviourally equal members tie on every sample."""
+    support = (0.0, 0.5, 1.0)
+    table = [TabularHypothesis(support, labels)
+             for labels in itertools.product((1, -1), repeat=3)]
+    level1 = (table[2], BoundaryHypothesis((), -1), BoundaryHypothesis((), 1))
+    level2 = (BoundaryHypothesis((0.75,), -1), *level1, table[0], BoundaryHypothesis((0.25,), 1))
+    level3 = (*table[::-1], BoundaryHypothesis((0.25, 0.75), 1), *level2[::-1])
+    levels = {1: level1, 2: level2, 3: tuple(dict.fromkeys(level3))}
+    return FiniteClassHierarchy(levels, vc_dims=(1, 2, 3)), support
+
+
+_GAP_POINTS = (0.2, 1 / 3, 0.4, 4 / 9, 0.5, 5 / 9, 0.6, 2 / 3, 0.8, 1.0)
+_FINITE_CLASSES = {
+    "gap": (build_gap_family(4.0, 1.0, 10_000, 10, enforce_regime=False)[0].hierarchy,
+            _GAP_POINTS),
+    "two_point": (build_two_point_family(0.01, 10)[0].hierarchy, (0.0, 1.0)),
+    "mixed": _mixed_finite_class(),
+}
+
+
+class TestFiniteRankingAgainstPerLevelSort:
+    """A finite class ranks its top level once per sample; each level's ranking
+    must stay the per-level sort by (mistakes, canonical key)."""
+
+    @staticmethod
+    def _oracle(hierarchy, sample, level):
+        return sorted(((mistake_count(h, sample), h) for h in hierarchy.levels[level]),
+                      key=lambda t: (t[0], hypothesis_sort_key(t[1])))
+
+    @pytest.mark.parametrize("name", sorted(_FINITE_CLASSES))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_erm_and_search_match(self, name, data):
+        hierarchy, support = _FINITE_CLASSES[name]
+        pairs = data.draw(st.lists(
+            st.tuples(st.sampled_from(support), st.sampled_from((-1, 1))), max_size=12))
+        sample = _sample([x for x, _ in pairs], [y for _, y in pairs])
+        ws = hierarchy.make_workspace(sample)
+        for level in range(hierarchy.min_level, hierarchy.max_level + 1):
+            ranking = self._oracle(hierarchy, sample, level)
+            best_m, best_h = ranking[0]
+            for workspace in (ws, None):
+                assert hierarchy.erm(sample, level, workspace=workspace) == (
+                    ErmResult(best_h, best_m))
+            mistake_cap = data.draw(st.sampled_from((None, best_m, best_m + 1)))
+            pop_cap = data.draw(st.sampled_from((1, 3, DEFAULT_POP_CAP)))
+            accept = data.draw(st.sampled_from((None, *hierarchy.levels[level])))
+            seen = []
+
+            def record(h, m):
+                seen.append((h, m))
+                return h == accept
+
+            res = hierarchy.search_min_mistakes(sample, level, record, mistake_cap=mistake_cap,
+                                                pop_cap=pop_cap, workspace=ws)
+            allowed = [(h, m) for m, h in ranking if mistake_cap is None or m <= mistake_cap]
+            stop = next((i for i, (h, _) in enumerate(allowed) if h == accept), None)
+            if stop is not None and stop < pop_cap:
+                assert seen == allowed[:stop + 1]
+                assert res == SearchResult(SEARCH_FOUND, accept, allowed[stop][1], stop + 1)
+            elif len(allowed) > pop_cap:
+                assert seen == allowed[:pop_cap]
+                assert res == SearchResult(SEARCH_INCONCLUSIVE, None, None, pop_cap + 1)
+            else:
+                assert seen == allowed
+                assert res == SearchResult(SEARCH_EMPTY, None, None, len(allowed))
+
+    def test_one_count_per_top_level_member(self, monkeypatch):
+        hierarchy, support = _FINITE_CLASSES["gap"]
+        sample = _sample(support, [1, -1] * 5)
+        calls = []
+        monkeypatch.setattr("transel.erm.mistake_count",
+                            lambda h, s: calls.append(h) or mistake_count(h, s))
+        ws = hierarchy.make_workspace(sample)
+        for level in (1, 2):
+            hierarchy.erm(sample, level, workspace=ws)
+            hierarchy.search_min_mistakes(sample, level, lambda h, m: False, workspace=ws)
+        assert sorted(calls, key=hypothesis_sort_key) == sorted(
+            hierarchy.levels[2], key=hypothesis_sort_key)

@@ -107,7 +107,6 @@ class TestThresholdNn:
     def test_source_realizable(self, staircase_instance):
         full = BoundaryHypothesis(staircase_instance.params["anchors"], 1)
         assert staircase_instance.source.expected_risk(full) == pytest.approx(0.0, abs=1e-15)
-        assert staircase_instance.source.bayes_risk() == 0.0
 
     def test_masses_and_anchors(self, staircase_instance):
         assert staircase_instance.params["anchors"] == (0.25, 0.5, 0.75)

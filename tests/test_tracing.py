@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from transel import analysis, families
+from transel import analysis, families, harness
 from transel.classifiers import BoundaryHypothesis
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -63,3 +63,25 @@ def test_install_wraps_every_target_and_uninstall_restores(tracing):
     layers = ("families.build", "analysis.excess", "distributions.risk",
               "distributions.disagreement")
     assert [calls.get(layer) for layer in layers] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("config", [
+    dict(kind="gap_demo", family="gap",
+         params={"rho_a": 4.0, "rho_b": 1.0, "enforce_regime": False},
+         n_source_grid=(1000,), n_target_grid=(10,), replicates=1),
+    dict(kind="rate_curve", family="threshold_nn", params={"rhos": [1.0, 2.0]},
+         n_source_grid=(200,), n_target_grid=(20,), replicates=1),
+], ids=["gap_demo", "threshold_nn_rate_curve"])
+def test_traced_layers_see_every_fit(tracing, config):
+    """Fits reach the hierarchies and learners through the traced names, so a
+    refactor that builds workspaces or ERMs around them shows up here."""
+    cfg = harness.ExperimentConfig.from_dict(config)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        harness.run_experiment(cfg)
+        _, calls, _ = tracer.collect()
+    finally:
+        tracer.uninstall()
+    layers = ("erm.workspace", "erm.erm", "selection.algorithm1", "selection.arbitration")
+    assert all(calls.get(layer, 0) > 0 for layer in layers), calls
