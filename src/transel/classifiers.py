@@ -136,11 +136,18 @@ class BoundaryGrid:
                                   int(self.signs[i]))
 
 
+def midpoint(a, b):
+    """Elementwise t with a <= t < b between xs a < b: a/2 + b/2, which cannot
+    overflow, or ``a`` where that rounds up to ``b`` (adjacent floats)."""
+    t = a / 2 + b / 2
+    return np.where(t == b, a, t)
+
+
 def midpoints(xs) -> np.ndarray:
-    """The halfway points between consecutive distinct values of ``xs``,
+    """The :func:`midpoint` between consecutive distinct values of ``xs``,
     ascending: the boundary positions that tell every labeling of ``xs`` apart."""
     values = np.unique(np.asarray(xs, dtype=float))
-    return (values[:-1] + values[1:]) / 2.0
+    return midpoint(values[:-1], values[1:])
 
 
 @dataclass(frozen=True)

@@ -2,29 +2,26 @@
 
 A sample is its groups: its distinct xs and the (+, −) counts at each
 (:class:`LabeledSample`).  Boundary classes are optimized with a suffix-table
-dynamic program over a grouping of them: T[g][j][s] is the least number of
-mistakes on groups g..m-1 when group g carries sign s and at most j sign
-changes remain.  Level ERMs read tables over label runs, maximal stretches of
-groups that carry one label (a group with both labels is a run of its own):
-every optimal labeling cuts only at run edges, so an ERM costs O(runs), not
-O(groups).  Tables over the sample's own groups drive a best-first
-enumeration of classifiers in increasing-mistake order, which
-Algorithm-style intersection searches consume; they are built only when a
-search can pop.  Ties are always broken by the canonical key (mistakes,
-boundary count, boundary vector, plus-sign-first), so every routine is
-deterministic.
+dynamic program over the sample's label runs, maximal stretches of groups
+that carry one label (a group with both labels is a run of its own):
+T[g][j][s] is the least number of mistakes on runs g..m-1 when run g carries
+sign s and at most j sign changes remain.  One set of tables per sample
+serves every level: it gives each level's ERM in O(runs), and it drives a
+best-first enumeration of classifiers in increasing-mistake order, which
+Algorithm-style intersection searches consume.  Ties are always broken by
+the canonical key (mistakes, boundary count, boundary vector,
+plus-sign-first), so every routine is deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
 
-from .classifiers import BoundaryGrid, BoundaryHypothesis, TabularHypothesis, midpoints
+from .classifiers import BoundaryGrid, BoundaryHypothesis, TabularHypothesis, midpoint, midpoints
 from .distributions import LabeledSample, count_dtype
 
 DEFAULT_POP_CAP = 1_000_000
@@ -74,41 +71,38 @@ _SIGN_OF_INDEX = (1, -1)
 
 
 class _DpWorkspace:
-    """Suffix tables over one grouping of the sample, reusable across levels.
+    """Suffix tables over the label runs of one sample, shared by every level.
 
-    The sample's distinct xs are cut into consecutive groups g = 0..m-1,
-    each given by its first x ``left[g]``, its last x ``right[g]`` and its
-    (+, −) counts; a boundary falls only between groups, at
-    (right[g-1] + left[g]) / 2.
-    tables[j][g, s] = min mistakes on groups g.. with sign s at group g and at
+    A run is a maximal stretch of distinct-x groups that all carry one label;
+    a group that holds both labels is a run of its own.  Run g = 0..m-1 has
+    first x ``left[g]``, last x ``right[g]`` and (+, −) counts, and a boundary
+    falls only between runs, at ``midpoint(right[g-1], left[g])``.
+    tables[j][g, s] = min mistakes on runs g.. with sign s at run g and at
     most j further sign changes; cs[g, s] = mistakes of the constant
     continuation.  No entry exceeds n, so all are stored as int32 (int64 past
-    its range), and every sum of entries is taken in Python ints.  The two
-    constructors below are the only code here that reads a sample's groups.
+    its range), and every sum of entries is taken in Python ints.
 
-    Two groupings are used.  :meth:`of_points` is the sample's own, which
-    every labeling of the sample can be cut along.  :meth:`of_runs` groups by
-    label runs: a run is a maximal stretch of distinct-x groups that all carry
-    one label, and a group that holds both labels is a run of its own.  The
-    run tables give the same level ERM, by this argument.  Take a labeling
-    that is optimal in a level's class and its first cut p strictly inside a
-    pure run R = [u, w) of label l; the labeling is constant, say s, on
-    [u, p).  If s != l, move p to u.  Otherwise [p, p') is -l up to the next
-    cut p': if p' is also strictly inside R, drop both cuts (two boundaries
-    inside one run enclose a group and cost a mistake); if not, move p to w.
-    A cut moved onto another cut cancels with it, and one moved to the
-    sample's end drops, which at the start flips the first sign with one
-    change fewer: both hierarchies' budgets for the two signs differ by at
-    most one, so the result stays in the class.  Each move uses no more sign
-    changes and loses at least one mistake, as every group holds a point.  So
-    every optimal labeling of a level, for either first sign and under
-    ``_walk_cuts``'s exactly-``flips`` rule, cuts only at run edges: the
-    level's least mistakes, the signs that reach them with their least flips,
-    and the lex-least minimizer are the same on both groupings.  A run edge
-    is a distinct-x edge, so its midpoint is the same two floats and every
-    boundary keeps its bits.  (A table entry of one sign that is not a level
-    optimum can differ, and the search walks those, so it reads the
-    point-level tables.)
+    Cutting only at run edges loses nothing.  Take a labeling in a level's
+    class whose first cut p lies strictly inside a pure run R = [u, w) of
+    label l; the labeling is constant, say s, on [u, p).  If s != l, move p
+    to u.  Otherwise [p, p') is -l up to the next cut p': if p' is also
+    strictly inside R, drop both cuts; if not, move p to w.  A cut moved onto
+    another cut cancels with it, and one moved to the sample's end drops,
+    which at the start flips the first sign with one change fewer: both
+    hierarchies' budgets for the two signs differ by at most one, so the
+    result stays in the class.  Each move uses no more sign changes and only
+    relabels points the labeling got wrong, at least one, as every group
+    holds a point.  So every optimal labeling of a level, for either first
+    sign and under ``_walk_cuts``'s exactly-``flips`` rule, cuts only at run
+    edges.  So does the first labeling in canonical order that lies in given
+    empirical minimal sets, as fixing mistakes never breaks membership: let
+    h be a member at level j, h* equal h except on a share k of the sample
+    that h mislabels, x = dis(h*, ERM_j) and A the level's complexity term.
+    If x <= C²A, h*'s risk gap is at most x <= C·sqrt(xA).  Otherwise its gap
+    is h's less k, and its slack h's less at most
+    C·sqrt(A)·(sqrt(x + k) - sqrt(x)) < k/2.  A run edge is a distinct-x
+    edge, so its midpoint is the same two floats: the level ERMs, and the
+    first member a search finds, are bit for bit those over every distinct x.
     """
 
     def __init__(self, left, right, pos, neg, max_flips: int):
@@ -134,11 +128,6 @@ class _DpWorkspace:
         self.tables = tables
 
     @classmethod
-    def of_points(cls, sample: LabeledSample, max_flips: int) -> "_DpWorkspace":
-        """Tables over the sample's own groups, its distinct xs."""
-        return cls(sample.xs, sample.xs, sample.pos, sample.neg, max_flips)
-
-    @classmethod
     def of_runs(cls, sample: LabeledSample, max_flips: int) -> "_DpWorkspace":
         """Tables over the label runs of the sample, in one O(groups) pass:
         consecutive groups of one label merge, and a group that holds both
@@ -157,7 +146,7 @@ class _DpWorkspace:
                    np.add.reduceat(neg, starts, dtype=neg.dtype), max_flips)
 
     def _mid(self, q: int) -> float:
-        return (self.right[q - 1] + self.left[q]) / 2.0
+        return float(midpoint(self.right[q - 1], self.left[q]))
 
     def _flip_aux(self, jj: int, si: int):
         """Flip-continuation bounds for a constant run with sign ``si``.
@@ -234,11 +223,15 @@ class _DpWorkspace:
         return ErmResult(keyed[0][1], best)
 
     def search(self, budgets, predicate, mistake_cap=None, pop_cap=DEFAULT_POP_CAP):
-        """Best-first scan of labelings in canonical order until ``predicate``
-        accepts one.  Constant runs are collapsed: a heap node is either a
+        """Best-first scan, in canonical order, of the labelings that cut at
+        run edges, until ``predicate`` accepts one.  A heap node is either a
         full labeling or a lazy cursor over where the next flip goes, bounded
         exactly by the tables, so complete labelings still pop in canonical
-        (mistakes, flips, boundary vector, sign) order."""
+        (mistakes, flips, boundary vector, sign) order.  A cap below the
+        level ERM's mistakes admits nothing, so it returns before any bound
+        is built."""
+        if mistake_cap is not None and mistake_cap < self.best_mistakes(budgets):
+            return SearchResult(SEARCH_EMPTY, None, None, 0)
         heap = []
         counter = 0
         m = self.m
@@ -304,37 +297,6 @@ class _DpWorkspace:
         return SearchResult(SEARCH_EMPTY, None, None, pops)
 
 
-class _SampleWorkspace:
-    """One sample's DP workspace: run-level tables for every level ERM, until
-    the first search that can pop builds the point-level tables, which then
-    replace them.
-
-    Every labeling of a level makes at least the level ERM's mistakes, so a
-    search capped below them returns ``empty`` with 0 pops, read off the run
-    tables.
-    """
-
-    def __init__(self, sample: LabeledSample, max_flips: int):
-        self.sample = sample
-        self.max_flips = max_flips
-        self.runs = _DpWorkspace.of_runs(sample, max_flips)
-
-    @cached_property
-    def points(self) -> _DpWorkspace:
-        """The point-level tables; they replace the run tables, which give
-        the same level ERMs and would only hold memory from here on."""
-        self.runs = _DpWorkspace.of_points(self.sample, self.max_flips)
-        return self.runs
-
-    def canonical_erm(self, budgets: dict[int, int]) -> ErmResult:
-        return self.runs.canonical_erm(budgets)
-
-    def search(self, budgets, predicate, mistake_cap=None, pop_cap=DEFAULT_POP_CAP):
-        if mistake_cap is not None and mistake_cap < self.runs.best_mistakes(budgets):
-            return SearchResult(SEARCH_EMPTY, None, None, 0)
-        return self.points.search(budgets, predicate, mistake_cap, pop_cap)
-
-
 class _NestedBoundaryHierarchy:
     """Shared machinery for hierarchies indexed by a sign-change budget.
 
@@ -346,9 +308,9 @@ class _NestedBoundaryHierarchy:
             raise ValueError(f"need max_level >= {self.min_level}")
         self.max_level = max_level
 
-    def make_workspace(self, sample: LabeledSample) -> _SampleWorkspace:
+    def make_workspace(self, sample: LabeledSample) -> _DpWorkspace:
         max_flips = max(self.flip_budgets(self.max_level).values())
-        return _SampleWorkspace(sample, max_flips)
+        return _DpWorkspace.of_runs(sample, max_flips)
 
     def erm(self, sample, level, workspace=None) -> ErmResult:
         _check_level(self, level)

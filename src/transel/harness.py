@@ -23,7 +23,8 @@ import numpy as np
 
 from . import analysis, families
 from .distributions import LabeledSample
-from .erm import BoundaryClassHierarchy, OneSidedThresholdHierarchy, erm_bruteforce
+from .erm import (BoundaryClassHierarchy, OneSidedThresholdHierarchy, erm_bruteforce,
+                  hypothesis_sort_key, mistake_count)
 from .selection import (
     Fit,
     LevelContext,
@@ -667,8 +668,8 @@ def _random_erm_case(seed: int):
 
 def erm_check(cfg: ExperimentConfig, cases: int = 200) -> dict:
     """Exact-solver equivalence sweep against brute force on small samples:
-    each case's level ERM (mistakes and canonical minimizer) and the verdict
-    of its intersection search."""
+    each case's level ERM (mistakes and canonical minimizer) and its
+    intersection search's verdict and hypothesis."""
     mismatches = []
     seeds = []
     for i in range(cases):
@@ -684,20 +685,21 @@ def erm_check(cfg: ExperimentConfig, cases: int = 200) -> dict:
                  "solver_hypothesis": repr(got.hypothesis),
                  "bruteforce_hypothesis": repr(brute.hypothesis), "level": level}
             )
-        # Intersection search vs exhaustive minimal-set scan.
+        # Intersection search vs the first member of every minimal set in the
+        # class it searches, ranked by (mistakes, canonical key).
         scan_from = hierarchy.min_level
         result = ctx.intersection(scan_from)
-        exhaustive = None
-        for h in hierarchy.enumerate_on(sample.xs, hierarchy.max_level):
-            if all(ctx.is_member(h, j) for j in range(scan_from, ctx.top + 1)):
-                exhaustive = h
-                break
-        agree = (result.status == "found") == (exhaustive is not None)
-        if not agree:
+        ranked = sorted(hierarchy.enumerate_on(sample.xs, scan_from),
+                        key=lambda h: (mistake_count(h, sample), hypothesis_sort_key(h)))
+        exhaustive = next((h for h in ranked
+                           if all(ctx.is_member(h, j) for j in range(scan_from, ctx.top + 1))),
+                          None)
+        if result.hypothesis != exhaustive:
             mismatches.append(
                 {"case": i, "seed": seed, "solver": result.status,
                  "bruteforce": "found" if exhaustive is not None else "empty",
-                 "level": scan_from}
+                 "solver_hypothesis": repr(result.hypothesis),
+                 "bruteforce_hypothesis": repr(exhaustive), "level": scan_from}
             )
     return {
         "kind": "erm_check",

@@ -145,8 +145,8 @@ class LevelContext:
     ERM of every level from the floor to the configured top, each level
     ERM's ``runs`` on the sample and each level's complexity term.
     ``is_member``, ``intersection`` and ``scan`` all read these, so any
-    number of questions about one sample share one workspace; its
-    point-level tables are built only by a search that can pop.  A
+    number of questions about one sample share one workspace: the
+    intersection search walks the same run tables as the level ERMs.  A
     hypothesis is read on the sample only through its runs over the sample's
     groups: its mistakes and its disagreement with a level ERM are both
     counted from them by :class:`LabeledSample`.

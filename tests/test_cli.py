@@ -319,6 +319,14 @@ class TestSummaryOnlyCommands:
         assert main(["erm-check", "--seed", "415"]) == 0
         assert "erm-check: 200 cases, all matched" in capsys.readouterr().out
 
+    def test_erm_check_with_tight_slacks(self, tmp_path, capsys):
+        # with C = c = 0.05, 116 of seed 7's 200 intersections are empty, and
+        # the oracle ranks the class that the search walks
+        cfg = _write_cfg(tmp_path, "tight.json",
+                         {"family": "threshold_nn", "selection": {"C": 0.05, "c": 0.05}})
+        assert main(["erm-check", "--config", cfg, "--seed", "7"]) == 0
+        assert "erm-check: 200 cases, all matched" in capsys.readouterr().out
+
     def test_erm_check_mismatch_exit_code(self, monkeypatch, capsys):
         summary = {
             "kind": "erm_check",

@@ -1,13 +1,14 @@
 """Exact ERM: dynamic program vs exhaustive search, and best-first enumeration."""
 
 import itertools
+import math
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
-from transel.classifiers import BoundaryHypothesis, TabularHypothesis
+from transel.classifiers import BoundaryHypothesis, TabularHypothesis, midpoint, midpoints
 from transel.distributions import LabeledSample
 from transel.erm import (
     DEFAULT_POP_CAP,
@@ -27,7 +28,7 @@ from transel.erm import (
 from transel.families import build_gap_family, build_threshold_nn, build_two_point_family
 from transel.selection import LevelContext, SelectionConfig
 
-from point_oracle import points
+from point_oracle import point_workspace, points
 
 
 def _sample(xs, ys) -> LabeledSample:
@@ -161,49 +162,72 @@ def _max_flips(hierarchy) -> int:
     return max(hierarchy.flip_budgets(hierarchy.max_level).values())
 
 
+def _first_member(ctx, level):
+    """The first classifier of the level's class, ranked by (mistakes,
+    canonical key), in every minimal set from the level up; None if none is."""
+    ranked = sorted(ctx.hierarchy.enumerate_on(ctx.sample.xs, level),
+                    key=lambda h: (mistake_count(h, ctx.sample), hypothesis_sort_key(h)))
+    return next((h for h in ranked
+                 if all(ctx.is_member(h, j) for j in range(level, ctx.top + 1))), None)
+
+
+_SLACKS = st.floats(-2.0, 0.3).map(lambda e: 10.0 ** e)  # 0.01 to 2, log-uniform
+
+
 class TestRunLevelTables:
-    """Level ERMs come from tables over label runs; the point-level tables
-    over distinct xs and brute force are their oracles."""
+    """Level ERMs and intersection searches both read the tables over label
+    runs; tables over every distinct x, brute force and exhaustive
+    enumeration are their oracles."""
 
     @given(sample=_labeled_samples(), which=st.integers(0, 1))
     @settings(max_examples=300, deadline=None)
     def test_level_erm_matches_points_and_bruteforce(self, sample, which):
         hierarchy = _HIERARCHIES[which]
-        runs = hierarchy.make_workspace(sample).runs
-        points = _DpWorkspace.of_points(sample, _max_flips(hierarchy))
+        runs = hierarchy.make_workspace(sample)
+        points = point_workspace(sample, _max_flips(hierarchy))
         for level in range(hierarchy.min_level, hierarchy.max_level + 1):
             budgets = hierarchy.flip_budgets(level)
             got = runs.canonical_erm(budgets)
             assert got == points.canonical_erm(budgets)
             assert got == erm_bruteforce(sample, budgets)
 
-    @given(sample=_labeled_samples(max_n=40), which=st.integers(0, 1),
-           level=st.integers(1, 4), cap=st.integers(-1, 12), accept_at=st.integers(1, 30),
+    @given(sample=_labeled_samples(max_n=12), which=st.integers(0, 1), big_c=_SLACKS,
+           small_c=_SLACKS, delta=st.floats(0.001, 0.5))
+    @settings(max_examples=150, deadline=None)
+    def test_intersection_is_the_first_member(self, sample, which, big_c, small_c, delta):
+        assume(len(sample) > 0)
+        hierarchy = _HIERARCHIES[which]
+        ctx = LevelContext(hierarchy, sample, SelectionConfig(C=big_c, c=small_c, delta=delta))
+        for level in range(hierarchy.min_level, hierarchy.max_level + 1):
+            want = _first_member(ctx, level)
+            # the search alone, without the level-ERM fast path, must agree too
+            searched = hierarchy.search_min_mistakes(
+                sample, level, lambda h, m: ctx.in_all_sets(h, m, level),
+                mistake_cap=ctx.mistake_cap(level), workspace=ctx.workspace)
+            for got in (ctx.intersection(level), searched):
+                assert got.hypothesis == want
+                assert got.status == (SEARCH_EMPTY if want is None else SEARCH_FOUND)
+                if want is not None:
+                    assert got.mistakes == mistake_count(want, sample)
+
+    @given(sample=_labeled_samples(max_n=40), which=st.integers(0, 1), big_c=_SLACKS,
+           small_c=_SLACKS, delta=st.floats(0.001, 0.5),
            pop_cap=st.sampled_from((3, 20, DEFAULT_POP_CAP)))
     @settings(max_examples=300, deadline=None)
-    def test_search_matches_a_fresh_point_level_workspace(
-        self, sample, which, level, cap, accept_at, pop_cap
+    def test_search_matches_the_point_level_oracle(
+        self, sample, which, big_c, small_c, delta, pop_cap
     ):
+        assume(len(sample) > 0)
         hierarchy = _HIERARCHIES[which]
-        budgets = hierarchy.flip_budgets(level)
-
-        def run(ws):
-            popped = []
-
-            def predicate(h, m):
-                popped.append((h, m))
-                return len(popped) == accept_at
-
-            return ws.search(budgets, predicate, cap, pop_cap), popped
-
-        shared = hierarchy.make_workspace(sample)
-        got, got_popped = run(shared)
-        want, want_popped = run(_DpWorkspace.of_points(sample, _max_flips(hierarchy)))
-        assert got == want
-        assert got_popped == want_popped
-        if cap < shared.canonical_erm(budgets).mistakes:
-            assert got.pops == 0 and got.status == SEARCH_EMPTY
-            assert "points" not in shared.__dict__
+        ctx = LevelContext(hierarchy, sample, SelectionConfig(C=big_c, c=small_c, delta=delta))
+        points = point_workspace(sample, _max_flips(hierarchy))
+        for level in range(hierarchy.min_level, hierarchy.max_level + 1):
+            args = (hierarchy.flip_budgets(level), lambda h, m: ctx.in_all_sets(h, m, level),
+                    ctx.mistake_cap(level), pop_cap)
+            got, want = ctx.workspace.search(*args), points.search(*args)
+            assert got.pops <= want.pops
+            if SEARCH_INCONCLUSIVE not in (got.status, want.status):
+                assert got == SearchResult(want.status, want.hypothesis, want.mistakes, got.pops)
 
     def test_runs_of_a_mixed_sample(self):
         # 0.1 and 0.7 each hold both labels and are runs of their own
@@ -224,40 +248,91 @@ class TestRunLevelTables:
     def test_degenerate_samples(self, xs, ys, m):
         s = _sample(xs, ys)
         ws = BoundaryClassHierarchy(max_level=2).make_workspace(s)
-        assert ws.runs.m == m
+        assert ws.m == m
         for level in range(3):
             budgets = {1: level, -1: level}
             assert ws.canonical_erm(budgets) == erm_bruteforce(s, budgets)
 
-    @given(sample=_labeled_samples(max_n=40), which=st.integers(0, 1))
-    @settings(max_examples=100, deadline=None)
-    def test_point_tables_replace_the_run_tables(self, sample, which):
-        hierarchy = _HIERARCHIES[which]
-        levels = range(hierarchy.min_level, hierarchy.max_level + 1)
-        ws = hierarchy.make_workspace(sample)
-        before = [ws.canonical_erm(hierarchy.flip_budgets(level)) for level in levels]
-        res = ws.search(hierarchy.flip_budgets(hierarchy.max_level), lambda h, m: True)
-        assert res.status == SEARCH_FOUND and res.pops >= 1
-        assert ws.runs is ws.points
-        assert [ws.canonical_erm(hierarchy.flip_budgets(level)) for level in levels] == before
-
-    def test_point_tables_are_int32(self):
+    def test_run_tables_are_int32(self):
         rng = np.random.default_rng(0)
         s = _sample(rng.random(1000), rng.choice([-1, 1], 1000))
-        points = BoundaryClassHierarchy(max_level=3).make_workspace(s).points
-        points.search({1: 3, -1: 3}, lambda h, m: m > 400)
-        assert {t.dtype for t in points.tables} == {np.dtype(np.int32)}
-        assert {a.dtype for aux in points._aux_cache.values() for a in aux} == {
+        ws = BoundaryClassHierarchy(max_level=3).make_workspace(s)
+        res = ws.search({1: 3, -1: 3}, lambda h, m: m > ws.canonical_erm({1: 3, -1: 3}).mistakes)
+        assert res.status == SEARCH_FOUND and res.pops > 1
+        assert {t.dtype for t in ws.tables} == {np.dtype(np.int32)}
+        assert {a.dtype for aux in ws._aux_cache.values() for a in aux} == {
             np.dtype(np.int32)
         }
 
-    def test_staircase_scan_leaves_the_point_tables_unbuilt(self):
+    def test_staircase_scan_reads_at_most_five_runs(self):
         instance = build_threshold_nn([1.0, 1.25, 1.5, 2.0, 3.0, 4.0])
         sample = instance.source.sample(100_000, np.random.default_rng(0))
         ctx = LevelContext(instance.hierarchy, sample, SelectionConfig())
         ctx.scan()
-        assert ctx.workspace.runs.m <= 5
-        assert "points" not in ctx.workspace.__dict__
+        assert ctx.workspace.m <= 5
+
+
+def _with_neighbours(xs, counts):
+    """Each x followed by its next ``count`` floats up."""
+    out = []
+    for x, count in zip(xs, counts):
+        out.append(x)
+        for _ in range(count):
+            out.append(math.nextafter(out[-1], math.inf))
+    return out
+
+
+# every finite float, subnormals included, and a tiny range that is mostly subnormal
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.floats(-1e-306, 1e-306))
+
+
+class TestBoundariesBetweenFloats:
+    """A boundary between xs a < b lies in [a, b), so a stays left of it and
+    b right, and the mistakes an ERM reports are those its hypothesis makes."""
+
+    def test_halfway_point_that_rounds_up_to_the_right_x(self):
+        s = _sample(_with_neighbours([1 + 2.0 ** -52], [1]), [1, -1])
+        res = BoundaryClassHierarchy(max_level=1).erm(s, 1)
+        assert res.mistakes == mistake_count(res.hypothesis, s) == 0
+        assert erm_bruteforce(s, {1: 1, -1: 1}) == res
+
+    def test_three_adjacent_floats(self):
+        s = _sample(_with_neighbours([1 + 2.0 ** -52], [2]), [1, -1, 1])
+        res = BoundaryClassHierarchy(max_level=2).erm(s, 2)
+        assert res.hypothesis.boundaries == tuple(s.xs[:2])
+        assert res.mistakes == mistake_count(res.hypothesis, s) == 0
+        assert erm_bruteforce(s, {1: 2, -1: 2}) == res
+
+    def test_huge_pair_does_not_overflow(self):
+        s = _sample([1e308, 1.7e308], [1, -1])
+        res = BoundaryClassHierarchy(max_level=1).erm(s, 1)
+        assert res.hypothesis == BoundaryHypothesis((1e308 / 2 + 1.7e308 / 2,), 1)
+        assert res.mistakes == mistake_count(res.hypothesis, s) == 0
+
+    @given(a=_FINITE, b=_FINITE, adjacent=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_midpoint_lies_in_between(self, a, b, adjacent):
+        a, b = min(a, b), max(a, b)
+        if adjacent or a == b:
+            b = math.nextafter(a, math.inf)
+        assume(math.isfinite(b))
+        t = midpoint(np.float64(a), np.float64(b))
+        assert a <= t < b
+        assert midpoints([b, a]).tolist() == [t]
+
+    @given(xs=st.lists(_FINITE, min_size=1, max_size=4),
+           neighbours=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+           signs=st.lists(st.sampled_from((-1, 1)), min_size=12, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_erm_mistakes_are_its_hypothesis_mistakes(self, xs, neighbours, signs):
+        xs = [x for x in _with_neighbours(sorted(set(xs)), neighbours) if math.isfinite(x)]
+        s = _sample(xs, signs[:len(xs)])
+        hierarchy = BoundaryClassHierarchy(max_level=3)
+        for level in range(4):
+            res = hierarchy.erm(s, level)
+            assert res.mistakes == mistake_count(res.hypothesis, s)
+            assert res == erm_bruteforce(s, hierarchy.flip_budgets(level))
 
 
 class TestBestFirstSearch:
@@ -301,7 +376,7 @@ class TestBestFirstSearch:
         res = hierarchy.search_min_mistakes(
             sample, 0, lambda h, m: False, mistake_cap=0
         )
-        assert res.status == SEARCH_EMPTY
+        assert res.status == SEARCH_EMPTY and res.pops == 0
 
     def test_pop_cap_reports_inconclusive(self):
         sample, _, _ = _random_case(11)
