@@ -23,10 +23,7 @@ SUITES = (
 
 
 def main() -> int:
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--seed", type=int, default=0)
-    args = p.parse_args()
-
+    argparse.ArgumentParser(description=__doc__).parse_args()
     bad = 0
     for family, params, n_p, n_q in SUITES:
         cfg = ExperimentConfig(
@@ -35,7 +32,6 @@ def main() -> int:
             params=params,
             n_source_grid=(n_p,),
             n_target_grid=(n_q,),
-            base_seed=args.seed,
         )
         report = verify_construction(cfg)
         status = "PASS" if report["all_pass"] else "FAIL"

@@ -1,16 +1,14 @@
 """Command-line front-end for the experiment harness.
 
 Subcommands map one-to-one onto experiment kinds; a JSON config file mirrors
-ExperimentConfig field for field, and a few flags override it in place.  The
-seed resolution order is: --seed flag, then the TRANSEL_SEED environment
-variable, then the config's base_seed.
+ExperimentConfig field for field, and a few flags override it in place;
+--seed overrides the config's base_seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -23,8 +21,6 @@ _COMMAND_KINDS = {
     "erm-check": "erm_check",
     "calibrate": "calibrate",
 }
-
-SEED_ENV_VAR = "TRANSEL_SEED"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,14 +57,8 @@ def _load_config(args) -> ExperimentConfig:
     else:
         raise SystemExit(f"{args.command} needs --config pointing at a JSON experiment file")
 
-    seed = args.seed
-    if seed is None and os.environ.get(SEED_ENV_VAR):
-        try:
-            seed = int(os.environ[SEED_ENV_VAR])
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer")
-    if seed is not None:
-        cfg = replace(cfg, base_seed=seed)
+    if args.seed is not None:
+        cfg = replace(cfg, base_seed=args.seed)
     if args.replicates is not None:
         cfg = replace(cfg, replicates=args.replicates)
     if args.out is not None:

@@ -4,8 +4,10 @@ Two representations cover everything the experiments need: piecewise
 distributions whose marginal is a mixture of uniform or one-sided power-law
 segments, and discrete distributions over a finite support.  Both expose
 exact expected risk and disagreement mass, plus seeded sampling
-with a fixed two-uniforms-per-draw stream layout so that samples are
-reproducible across label-law changes.
+with a fixed two-uniforms-per-draw stream layout.  A piecewise segment carries
+one label, so its sampler reads only the first uniform of a draw; it still
+draws the second, which keeps every sampled byte: the stream changes only
+together with a version of it in the outputs.
 """
 
 from __future__ import annotations
@@ -50,33 +52,6 @@ def _power_antideriv(t: np.ndarray, anchor: float, p: float) -> np.ndarray:
     return np.sign(d) * np.abs(d) ** p / p
 
 
-@dataclass(frozen=True)
-class Deterministic:
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (-1, 1):
-            raise ValueError("label must be -1 or +1")
-
-
-@dataclass(frozen=True)
-class Bernoulli:
-    """P[Y = +1 | X in segment] = q."""
-
-    q: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("q must lie in [0, 1]")
-
-
-def _label_errors(signs: np.ndarray, law) -> np.ndarray:
-    """P[Y != sign] under the segment's label law, for an array of signs."""
-    if isinstance(law, Deterministic):
-        return np.where(signs == law.label, 0.0, 1.0)
-    return np.where(signs == 1, 1.0 - law.q, law.q)
-
-
 def _piece_major_sum(terms: list[np.ndarray]) -> np.ndarray:
     """Row sums of per-segment (rows x pieces) terms, from 0.0 piece by piece
     and then segment by segment: the order of a scalar loop over pieces, so
@@ -105,13 +80,15 @@ class Segment:
     hi: float
     mass: float
     shape: Uniform | PowerLaw = Uniform()
-    label_law: Deterministic | Bernoulli = Deterministic(1)
+    label: int = 1
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError("need lo < hi")
         if self.mass < 0:
             raise ValueError("mass must be nonnegative")
+        if self.label not in (-1, 1):
+            raise ValueError("label must be -1 or +1")
 
     def _norm(self) -> float:
         if isinstance(self.shape, Uniform):
@@ -268,10 +245,7 @@ class PiecewiseDistribution:
                 continue
             xs[pick] = seg.quantile(
                 np.clip((u[pick, 0] - self._cum[i]) / max(seg.mass, _EDGE_TOL), 0.0, 1.0))
-            if isinstance(seg.label_law, Deterministic):
-                ys[pick] = seg.label_law.label
-            else:
-                ys[pick] = np.where(u[pick, 1] < seg.label_law.q, 1, -1)
+            ys[pick] = seg.label
         del u, idx, pick  # 24 bytes a point and the last mask: free them before grouping
         return LabeledSample.of_points(xs, ys)
 
@@ -308,7 +282,7 @@ class PiecewiseDistribution:
             x1, x2 = self._clipped_cuts(bounds)
             # Piece j lies right of exactly j boundaries when it has positive length.
             piece_signs = signs[:, None] * np.where(np.arange(x1.shape[1]) % 2 == 0, 1, -1)
-            terms = [seg.sub_masses(x1, x2) * _label_errors(piece_signs, seg.label_law)
+            terms = [np.where(piece_signs == seg.label, 0.0, seg.sub_masses(x1, x2))
                      for seg in self.segments]
             out[rows] = _piece_major_sum(terms)
         return out

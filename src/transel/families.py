@@ -19,8 +19,6 @@ import numpy as np
 
 from .classifiers import BoundaryHypothesis, TabularHypothesis
 from .distributions import (
-    Bernoulli,
-    Deterministic,
     DiscreteDistribution,
     PiecewiseDistribution,
     PowerLaw,
@@ -127,7 +125,7 @@ def _alternating_uniform(cuts) -> PiecewiseDistribution:
     segs = []
     sign = 1
     for a, b in zip(edges, edges[1:]):
-        segs.append(Segment(a, b, b - a, Uniform(), Deterministic(sign)))
+        segs.append(Segment(a, b, b - a, Uniform(), sign))
         sign = -sign
     return PiecewiseDistribution(tuple(segs))
 
@@ -155,8 +153,8 @@ def _staircase_source(rhos):
         left_sign = 1 if k % 2 == 0 else -1
         m_left, m_right = raw[k]
         shape = PowerLaw(anchors[k], rho)
-        segs.append(Segment(edges[k], anchors[k], m_left / z, shape, Deterministic(left_sign)))
-        segs.append(Segment(anchors[k], edges[k + 1], m_right / z, shape, Deterministic(-left_sign)))
+        segs.append(Segment(edges[k], anchors[k], m_left / z, shape, left_sign))
+        segs.append(Segment(anchors[k], edges[k + 1], m_right / z, shape, -left_sign))
     return PiecewiseDistribution(tuple(segs)), anchors, z
 
 
@@ -254,10 +252,10 @@ def _gap_params(rho_a, rho_b, n_source, n_target, enforce_regime, hard_cap=None)
 
 
 def _gap_distribution(masses, signs, shapes=(Uniform(),) * 5) -> PiecewiseDistribution:
-    """Deterministic labels on the five gap intervals."""
+    """The five gap intervals, one label each from ``signs``."""
     edges = GAP_EDGES
     return PiecewiseDistribution(tuple(
-        Segment(lo, hi, mass, shape, Deterministic(sign))
+        Segment(lo, hi, mass, shape, sign)
         for lo, hi, mass, shape, sign in zip(edges, edges[1:], masses, shapes, signs)
     ))
 

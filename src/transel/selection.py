@@ -202,6 +202,10 @@ class LevelContext:
         return gap <= self.slack(level, self.disagreement(runs, level))
 
     def in_all_sets(self, h, mistakes: int, from_level: int) -> bool:
+        """Membership in every minimal set from from_level up, for ``h`` with
+        ``mistakes`` on the sample; everything is a member on an empty sample."""
+        if self.n == 0:
+            return True
         runs = None
         for j in range(from_level, self.top + 1):
             gap = (mistakes - self.erms[j].mistakes) / self.n
@@ -221,7 +225,10 @@ class LevelContext:
         only on sample points where one of them errs, so n*dis <= m_h + m_j;
         membership then makes sqrt(m_h + m_j) at most the root s of
         s**2 - C*sqrt(nA)*s - (2*m_j + c*nA), i.e. m_h <= s**2 - m_j.
+        On an empty sample every hypothesis makes 0 mistakes.
         """
+        if self.n == 0:
+            return 0
         big_c, small_c = self.cfg.C, self.cfg.c
         cap = math.inf
         for j in range(from_level, self.top + 1):

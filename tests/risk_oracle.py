@@ -8,7 +8,6 @@ bit, and the tests compare them with ``same_bits``.
 import numpy as np
 
 from transel.distributions import (
-    Deterministic,
     DiscreteDistribution,
     Uniform,
     _power_antideriv,
@@ -28,11 +27,9 @@ def sign_on_interval_right_of(h, x: float) -> int:
     return h.first_sign if crossings % 2 == 0 else -h.first_sign
 
 
-def label_error(sign: int, law) -> float:
-    """P[Y != sign] under the segment's label law."""
-    if isinstance(law, Deterministic):
-        return 0.0 if sign == law.label else 1.0
-    return 1.0 - law.q if sign == 1 else law.q
+def label_error(sign: int, label: int) -> float:
+    """P[Y != sign] on a segment whose label is ``label``."""
+    return 0.0 if sign == label else 1.0
 
 
 def sub_mass(seg, x1: float, x2: float) -> float:
@@ -63,7 +60,7 @@ def _piecewise_expected_risk(dist, h) -> float:
         for seg in dist.segments:
             m = sub_mass(seg, x1, x2)
             if m > 0.0:
-                total += m * label_error(sign, seg.label_law)
+                total += m * label_error(sign, seg.label)
     return total
 
 

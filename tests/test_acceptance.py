@@ -20,8 +20,6 @@ from transel.analysis import (
 )
 from transel.classifiers import BoundaryHypothesis
 from transel.distributions import (
-    Bernoulli,
-    Deterministic,
     PiecewiseDistribution,
     PowerLaw,
     Segment,
@@ -85,10 +83,10 @@ def _random_risk_pair(rng):
             anchor = lo if rng.random() < 0.5 else hi
             shape = PowerLaw(anchor, float(rng.uniform(0.4, 3.0)))
         if rng.random() < 0.5:
-            law = Deterministic(1 if rng.random() < 0.5 else -1)
-        else:
-            law = Bernoulli(float(rng.uniform(0.0, 1.0)))
-        segs.append(Segment(lo, hi, float(masses[i]), shape, law))
+            label = 1 if rng.random() < 0.5 else -1
+        else:  # the Bayes label of a uniform chance of +1
+            label = 1 if rng.uniform(0.0, 1.0) > 0.5 else -1
+        segs.append(Segment(lo, hi, float(masses[i]), shape, label))
     dist = PiecewiseDistribution(tuple(segs))
     cuts = tuple(np.unique(rng.uniform(0.0, float(edges[-1]), int(rng.integers(0, 5)))))
     return dist, BoundaryHypothesis(cuts, 1 if rng.random() < 0.5 else -1)

@@ -9,13 +9,8 @@ import re
 
 import pytest
 
-from transel.cli import SEED_ENV_VAR, main
+from transel.cli import main
 from transel.harness import RECORD_COLUMNS, SCHEMA_VERSION
-
-
-@pytest.fixture(autouse=True)
-def clean_seed_env(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
 
 
 def _write_cfg(tmp_path, name, payload):
@@ -158,12 +153,6 @@ class TestParsing:
             main(["calibrate", "--config", path])
         assert "\n" not in str(exc.value.code)
 
-    def test_non_integer_seed_env_var_is_one_line_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "abc")
-        with pytest.raises(SystemExit, match=f"error: {SEED_ENV_VAR} must be an integer") as exc:
-            main(["run", "--config", _curve_cfg(tmp_path)])
-        assert "\n" not in str(exc.value.code)
-
     def test_missing_config_file_is_one_line_error(self, tmp_path):
         path = tmp_path / "absent.json"
         with pytest.raises(SystemExit, match=re.escape(f"error: cannot read config {path}")) as exc:
@@ -239,31 +228,6 @@ class TestSeedPrecedence:
         )
         assert flagged == direct
         assert flagged != baseline
-
-    def test_env_var_used_when_flag_absent(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "3")
-        env_run = self._csv_bytes(
-            tmp_path, ["run", "--config", _curve_cfg(tmp_path)], "a"
-        )
-        direct = self._csv_bytes(
-            tmp_path,
-            ["run", "--config", _curve_cfg(tmp_path, base_seed=3, name="c3.json")],
-            "b",
-        )
-        assert env_run == direct
-
-    def test_flag_beats_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "11")
-        flagged = self._csv_bytes(
-            tmp_path, ["run", "--config", _curve_cfg(tmp_path), "--seed", "3"], "a"
-        )
-        monkeypatch.delenv(SEED_ENV_VAR)
-        direct = self._csv_bytes(
-            tmp_path,
-            ["run", "--config", _curve_cfg(tmp_path, base_seed=3, name="c3.json")],
-            "b",
-        )
-        assert flagged == direct
 
 
 class TestSummaryOnlyCommands:

@@ -10,8 +10,6 @@ from hypothesis import given, settings
 
 from transel.classifiers import BoundaryHypothesis, TabularHypothesis
 from transel.distributions import (
-    Bernoulli,
-    Deterministic,
     DiscreteDistribution,
     LabeledSample,
     PiecewiseDistribution,
@@ -48,19 +46,16 @@ def _risk_quadrature(dist: PiecewiseDistribution, h: BoundaryHypothesis, n=800_0
     err = np.zeros_like(xs)
     for seg in dist.segments:
         inside = (xs >= seg.lo) & (xs <= seg.hi)
-        labels = h.evaluate_many(xs[inside])
-        if isinstance(seg.label_law, Deterministic):
-            e = np.where(labels == seg.label_law.label, 0.0, 1.0)
-        else:
-            e = np.where(labels == 1, 1.0 - seg.label_law.q, seg.label_law.q)
-        err[inside] = e
+        err[inside] = np.where(h.evaluate_many(xs[inside]) == seg.label, 0.0, 1.0)
     return float(np.trapezoid(dens * err, xs))
 
 
 def _random_piecewise(k: int, rng: np.random.Generator) -> PiecewiseDistribution:
-    """k abutting segments on [-2, 2] with random shapes and label laws.
+    """k abutting segments on [-2, 2] with random shapes and labels.
 
     A power-law anchor sits at a segment end or strictly inside the segment.
+    Half the labels are the Bayes label of a uniform chance of +1; each
+    branch's draws keep the stream of every later edge, shape and cut fixed.
     """
     edges = np.sort(rng.uniform(-2.0, 2.0, size=k + 1))
     if np.any(np.diff(edges) < 1e-4):
@@ -75,17 +70,17 @@ def _random_piecewise(k: int, rng: np.random.Generator) -> PiecewiseDistribution
             anchor = (lo, hi, float(rng.uniform(lo, hi)))[int(rng.integers(0, 3))]
             shape = PowerLaw(anchor=anchor, exponent=float(rng.uniform(0.5, 3.0)))
         if rng.random() < 0.5:
-            law = Deterministic(int(rng.choice([-1, 1])))
+            label = int(rng.choice([-1, 1]))
         else:
-            law = Bernoulli(float(rng.uniform(0.0, 1.0)))
-        segs.append(Segment(lo, hi, float(masses[i]), shape, law))
+            label = 1 if rng.uniform(0.0, 1.0) > 0.5 else -1
+        segs.append(Segment(lo, hi, float(masses[i]), shape, label))
     return PiecewiseDistribution(segs)
 
 
 def _two_segment_dist() -> PiecewiseDistribution:
     return PiecewiseDistribution([
-        Segment(0.0, 1.0, 0.6, Uniform(), Deterministic(1)),
-        Segment(1.0, 2.0, 0.4, PowerLaw(anchor=1.0, exponent=2.0), Bernoulli(0.8)),
+        Segment(0.0, 1.0, 0.6, Uniform(), 1),
+        Segment(1.0, 2.0, 0.4, PowerLaw(anchor=1.0, exponent=2.0), 1),
     ])
 
 
@@ -117,6 +112,11 @@ class TestSegment:
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             Segment(1.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("label", [0, 2, -2])
+    def test_rejects_label_outside_plus_minus_one(self, label):
+        with pytest.raises(ValueError, match=r"^label must be -1 or \+1$"):
+            Segment(0.0, 1.0, 1.0, Uniform(), label)
 
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValueError):
@@ -193,8 +193,8 @@ class TestPiecewiseRisk:
 
     def test_deterministic_risk_by_hand(self):
         dist = PiecewiseDistribution([
-            Segment(0.0, 1.0, 0.5, Uniform(), Deterministic(1)),
-            Segment(1.0, 2.0, 0.5, Uniform(), Deterministic(-1)),
+            Segment(0.0, 1.0, 0.5, Uniform(), 1),
+            Segment(1.0, 2.0, 0.5, Uniform(), -1),
         ])
         ideal = BoundaryHypothesis((1.0,), 1)
         assert dist.expected_risk(ideal) == pytest.approx(0.0, abs=1e-15)
@@ -207,8 +207,8 @@ class TestPiecewiseRisk:
     def test_excess_risk_nonnegative_for_best(self):
         dist = _two_segment_dist()
         best = BoundaryHypothesis((), 1)
-        # all-plus errs only where the Bernoulli(0.8) segment draws -1
-        assert dist.expected_risk(best) == pytest.approx(0.4 * 0.2, abs=1e-15)
+        # both segments are labelled +1, so all-plus makes no error
+        assert dist.expected_risk(best) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize(
         "h",
@@ -303,9 +303,9 @@ class TestGridKernels:
 
     def test_grid_across_blocks_counts_and_a_support_gap(self):
         dist = PiecewiseDistribution([
-            Segment(0.0, 1.0, 0.3, Uniform(), Deterministic(1)),
-            Segment(1.0, 2.0, 0.5, PowerLaw(anchor=1.4, exponent=0.7), Bernoulli(0.3)),
-            Segment(2.5, 3.0, 0.2, PowerLaw(anchor=3.0, exponent=2.5), Deterministic(-1)),
+            Segment(0.0, 1.0, 0.3, Uniform(), 1),
+            Segment(1.0, 2.0, 0.5, PowerLaw(anchor=1.4, exponent=0.7), -1),
+            Segment(2.5, 3.0, 0.2, PowerLaw(anchor=3.0, exponent=2.5), -1),
         ])
         grid = [BoundaryHypothesis((x,), 1)
                 for x in np.linspace(-0.5, 3.5, 2 * _GRID_BLOCK + 11).tolist()]
@@ -413,6 +413,30 @@ class TestSampling:
         lo, hi = dist.support
         assert np.all((s.xs >= lo) & (s.xs <= hi))
         assert set(np.unique(points(s)[1])) <= {-1, 1}
+
+    def test_stream_layout_is_two_uniforms_a_point(self):
+        # xs are the segment quantiles of column 0 of rng.random((n, 2)); the
+        # labels read neither column, but column 1 is still drawn, so the
+        # generator ends where that call leaves it.
+        segs = (Segment(0.0, 1.0, 0.3, Uniform(), 1),
+                Segment(1.0, 2.0, 0.5, PowerLaw(anchor=1.4, exponent=0.7), -1),
+                Segment(2.5, 3.0, 0.2, PowerLaw(anchor=3.0, exponent=2.5), 1))
+        dist = PiecewiseDistribution(segs)
+        n = 1000
+        rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        u = want_rng.random((n, 2))[:, 0]
+        cum = np.array([0.0, 0.3, 0.8])
+        idx = np.searchsorted(cum, u, side="right") - 1
+        want_xs = np.empty(n)
+        for i, seg in enumerate(segs):
+            pick = idx == i
+            want_xs[pick] = seg.quantile((u[pick] - cum[i]) / seg.mass)
+        want_ys = np.array([segs[i].label for i in idx], dtype=np.int8)
+        order = np.lexsort((want_ys, want_xs))
+        xs, ys = points(dist.sample(n, rng))
+        np.testing.assert_array_equal(xs, want_xs[order])
+        np.testing.assert_array_equal(ys, want_ys[order])
+        assert rng.random() == want_rng.random()
 
     def test_empty_sample(self):
         dist = _two_segment_dist()

@@ -158,6 +158,13 @@ class TestMinimalSets:
         s = _sample([], [])
         assert LevelContext(hierarchy, s, cfg).is_member(BoundaryHypothesis((), -1), 1)
 
+    def test_empty_sample_cap_and_sets_answer(self):
+        hierarchy = BoundaryClassHierarchy(max_level=2)
+        ctx = LevelContext(hierarchy, _sample([], []), SelectionConfig())
+        for level in (0, 1, 2):
+            assert ctx.mistake_cap(level) == 0
+            assert ctx.in_all_sets(BoundaryHypothesis((0.5,), -1), 0, level)
+
     def test_level_out_of_range(self):
         hierarchy = BoundaryClassHierarchy(max_level=1)
         for sample in (_sample([0.0], [1]), _sample([], [])):
