@@ -7,7 +7,9 @@ exact expected risk and disagreement mass, plus seeded sampling
 with a fixed two-uniforms-per-draw stream layout.  A piecewise segment carries
 one label, so its sampler reads only the first uniform of a draw; it still
 draws the second, which keeps every sampled byte: the stream changes only
-together with a version of it in the outputs.
+together with a version of it in the outputs.  The piecewise sampler draws
+its points already ascending, and a sample sorts its points only when they
+are not.
 """
 
 from __future__ import annotations
@@ -144,7 +146,8 @@ class LabeledSample:
 
     @classmethod
     def of_points(cls, xs, ys) -> LabeledSample:
-        """The groups of points ``xs`` with labels ``ys`` in {−1, +1}."""
+        """The groups of points ``xs`` with labels ``ys`` in {−1, +1}; the
+        points are sorted by x only when they are not already ascending."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys)
         if xs.shape != ys.shape or xs.ndim != 1:
@@ -156,9 +159,10 @@ class LabeledSample:
             raise ValueError("sample labels must be -1 or +1")
         n = xs.size
         dtype = count_dtype(n)
-        order = np.argsort(xs)  # ties are counted, so their order does not matter
-        xs, plus = xs[order], plus[order]
-        del order  # 8 bytes a point: free it before the groups are built
+        if not (xs[1:] >= xs[:-1]).all():
+            order = np.argsort(xs)  # ties are counted, so their order does not matter
+            xs, plus = xs[order], plus[order]
+            del order  # 8 bytes a point: free it before the groups are built
         first = np.empty(n, dtype=bool)
         first[:1] = True
         np.not_equal(xs[1:], xs[:-1], out=first[1:])
@@ -234,20 +238,33 @@ class PiecewiseDistribution:
         return self.segments[0].lo, self.segments[-1].hi
 
     def sample(self, n: int, rng: np.random.Generator) -> LabeledSample:
-        u = rng.random((n, 2))
-        idx = np.searchsorted(self._cum, u[:, 0], side="right") - 1
-        idx = np.clip(idx, 0, len(self.segments) - 1)
-        xs = np.empty(n)
+        """``n`` points drawn by inverse CDF, returned as their groups.
+
+        Draw j reads column 0 of ``rng.random((n, 2))``: the segment i with
+        ``_cum[i] <= u < _cum[i + 1]`` (a zero-mass segment holds no u), and
+        x at that segment's quantile of ``(u - _cum[i]) / mass``.  The
+        uniforms are sorted first, so each segment's draws are one slice of
+        them, cut by one ``searchsorted``, and the slice is overwritten in
+        place by its own quantiles: the points come out in ascending order
+        and ``of_points`` skips its sort.
+
+        Each x comes from the same float operations on the same uniform as
+        drawing the points in stream order, so the multiset of (x, y) pairs,
+        and with it every group, is the same.  Ascending order is checked,
+        not assumed: segments may overlap by up to ``_EDGE_TOL`` and ``pow``
+        need not be monotone to the last ulp, and then ``of_points`` sorts.
+        """
+        u = np.sort(rng.random((n, 2))[:, 0])
+        cuts = [0, *np.searchsorted(u, self._cum[1:-1], side="left").tolist(), n]
         ys = np.empty(n, dtype=np.int8)
         for i, seg in enumerate(self.segments):
-            pick = idx == i
-            if not np.any(pick):
+            a, b = cuts[i], cuts[i + 1]
+            if a == b:
                 continue
-            xs[pick] = seg.quantile(
-                np.clip((u[pick, 0] - self._cum[i]) / max(seg.mass, _EDGE_TOL), 0.0, 1.0))
-            ys[pick] = seg.label
-        del u, idx, pick  # 24 bytes a point and the last mask: free them before grouping
-        return LabeledSample.of_points(xs, ys)
+            u[a:b] = seg.quantile(
+                np.clip((u[a:b] - self._cum[i]) / max(seg.mass, _EDGE_TOL), 0.0, 1.0))
+            ys[a:b] = seg.label
+        return LabeledSample.of_points(u, ys)
 
     def expected_risk(self, h: BoundaryHypothesis) -> float:
         """Exact risk of ``h``: one row of :meth:`expected_risks`."""

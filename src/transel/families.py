@@ -363,15 +363,19 @@ def event_b_probability(instance: TransferInstance) -> float:
     return (1.0 - 2.0 * inner) ** p["n_source"] * (1.0 - 2.0 * big) ** p["n_target"]
 
 
+def _count_in(xs, lo, hi) -> int:
+    """Entries of the ascending array ``xs`` in the closed interval [lo, hi]."""
+    return int(np.searchsorted(xs, hi, side="right") - np.searchsorted(xs, lo, side="left"))
+
+
 def event_b_holds(s_p, s_q) -> bool:
     """Empirical event B on one replicate of a gap family: no source draw
     lands in either (closed) inner interval and no target draw lands outside
-    the (closed) middle interval."""
+    the (closed) middle interval.  A sample's ``xs`` are ascending, so each
+    interval is read with two binary searches."""
     _, left_out, left_in, right_in, right_out, _ = GAP_EDGES
-    inner = ((left_out, left_in), (right_in, right_out))
-    in_inner = any(np.any((s_p.xs >= lo) & (s_p.xs <= hi)) for lo, hi in inner)
-    out_mid = np.any((s_q.xs < left_in) | (s_q.xs > right_in))
-    return not in_inner and not out_mid
+    in_inner = _count_in(s_p.xs, left_out, left_in) + _count_in(s_p.xs, right_in, right_out)
+    return in_inner == 0 and _count_in(s_q.xs, left_in, right_in) == len(s_q.xs)
 
 
 def build_two_point_family(alpha, n_target):

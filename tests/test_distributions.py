@@ -1,5 +1,6 @@
 """Exact risk functionals and seeded sampling for the synthetic distributions."""
 
+import dataclasses
 import tracemalloc
 from itertools import combinations, product
 
@@ -20,7 +21,7 @@ from transel.distributions import (
 )
 from transel.families import build_threshold_nn
 
-from point_oracle import points
+from point_oracle import points, sample_points
 from risk_oracle import disagreement_mass, expected_risk, same_bits
 
 
@@ -75,6 +76,27 @@ def _random_piecewise(k: int, rng: np.random.Generator) -> PiecewiseDistribution
             label = 1 if rng.uniform(0.0, 1.0) > 0.5 else -1
         segs.append(Segment(lo, hi, float(masses[i]), shape, label))
     return PiecewiseDistribution(segs)
+
+
+def _with_zero_masses(dist: PiecewiseDistribution, zero) -> PiecewiseDistribution:
+    """``dist`` with the masses of the segments flagged in ``zero`` moved onto
+    its first unflagged segment; the first is kept when every flag is set."""
+    segs = list(dist.segments)
+    zero = zero[:len(segs)]
+    keep = next((i for i, z in enumerate(zero) if not z), 0)
+    moved = sum(seg.mass for i, seg in enumerate(segs) if zero[i] and i != keep)
+    for i, seg in enumerate(segs):
+        if i == keep:
+            segs[i] = dataclasses.replace(seg, mass=seg.mass + moved)
+        elif zero[i]:
+            segs[i] = dataclasses.replace(seg, mass=0.0)
+    return PiecewiseDistribution(segs)
+
+
+def _same_groups(a: LabeledSample, b: LabeledSample) -> bool:
+    """Byte-equal xs, pos and neg, with equal dtypes."""
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in ((a.xs, b.xs), (a.pos, b.pos), (a.neg, b.neg)))
 
 
 def _two_segment_dist() -> PiecewiseDistribution:
@@ -161,6 +183,18 @@ class TestLabeledSample:
         got_xs, got_ys = points(LabeledSample.of_points(xs, ys))
         assert got_xs.tolist() == xs[order].tolist()
         assert got_ys.dtype == np.int8 and got_ys.tolist() == ys[order].tolist()
+
+    @given(st.lists(st.tuples(st.sampled_from((0.0, 0.25, 0.5, 1.0)), st.sampled_from((-1, 1))),
+                    max_size=30), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_ascending_points_group_like_a_shuffled_copy(self, pairs, random):
+        # ascending input, with ties of mixed labels, skips the sort
+        pairs = sorted(pairs, key=lambda p: p[0])
+        shuffled = random.sample(pairs, len(pairs))
+        a, b = (LabeledSample.of_points(np.asarray([x for x, _ in ps], dtype=float),
+                                        np.asarray([y for _, y in ps], dtype=np.int8))
+                for ps in (pairs, shuffled))
+        assert _same_groups(a, b)
 
     def test_compares_and_hashes_by_identity(self):
         a = LabeledSample.of_points([0.1, 0.2, 0.2], [1, -1, 1])
@@ -438,6 +472,68 @@ class TestSampling:
         np.testing.assert_array_equal(ys, want_ys[order])
         assert rng.random() == want_rng.random()
 
+    @given(st.integers(1, 6), st.lists(st.booleans(), min_size=6, max_size=6),
+           st.one_of(st.sampled_from((0, 1, 10_000)), st.integers(2, 50)),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_sorted_draw_matches_point_sampler(self, k, zero, n, seed):
+        rng = np.random.default_rng(seed)
+        dist = _with_zero_masses(_random_piecewise(k, rng), zero)
+        got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got, want = dist.sample(n, got_rng), sample_points(dist, n, want_rng)
+        assert _same_groups(got, want) and len(got) == n
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_uniforms_on_the_cumulative_masses_pick_the_point_samplers_segment(self):
+        class Fixed:
+            """Stands in for a generator: ``random`` returns the given column 0."""
+
+            def __init__(self, col):
+                self.col = np.asarray(col, dtype=float)
+
+            def random(self, shape):
+                return np.column_stack([self.col, np.full(len(self.col), 0.5)])
+
+        dist = PiecewiseDistribution([
+            Segment(-1.0, 0.0, 0.0, Uniform(), -1), Segment(0.0, 1.0, 0.25, Uniform(), 1),
+            Segment(1.0, 2.0, 0.0, Uniform(), -1), Segment(2.0, 3.0, 0.5, PowerLaw(2.0, 2.0), -1),
+            Segment(3.0, 4.0, 0.25, Uniform(), 1), Segment(4.0, 5.0, 0.0, Uniform(), -1)])
+        col = [0.0, 0.25, 0.75, np.nextafter(0.25, 0.0), np.nextafter(0.75, 0.0),
+               np.nextafter(1.0, 0.0), 0.25, 0.5]
+        got = dist.sample(len(col), Fixed(col))
+        assert _same_groups(got, sample_points(dist, len(col), Fixed(col)))
+        # u on a cut starts the next segment of positive mass
+        assert {0.0, 2.0, 3.0} <= set(got.xs.tolist()) and 1.0 not in got.xs
+
+    @staticmethod
+    def _count_argsorts(monkeypatch) -> list:
+        calls = []
+
+        def counted(*args, _orig=np.argsort, **kwargs):
+            calls.append(1)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        return calls
+
+    def test_ascending_draw_skips_the_sort(self, monkeypatch):
+        dist = _two_segment_dist()
+        calls = self._count_argsorts(monkeypatch)
+        dist.sample(1000, np.random.default_rng(3))
+        assert calls == []
+
+    def test_overlapping_segments_fall_back_to_the_sort(self, monkeypatch):
+        # The constructor accepts an overlap below _EDGE_TOL, so segment 1's
+        # lowest draws land below segment 0's highest: sorted uniforms give
+        # unsorted xs, and of_points sorts them.
+        dist = PiecewiseDistribution([Segment(1 - 1e-12, 1, 0.5, label=1),
+                                      Segment(1 - 5e-13, 1 + 1e-12, 0.5, label=-1)])
+        calls = self._count_argsorts(monkeypatch)
+        got = dist.sample(1000, np.random.default_rng(4))
+        assert calls == [1]
+        monkeypatch.undo()
+        assert _same_groups(got, sample_points(dist, 1000, np.random.default_rng(4)))
+
     def test_empty_sample(self):
         dist = _two_segment_dist()
         s = dist.sample(0, np.random.default_rng(1))
@@ -455,23 +551,34 @@ class TestSampling:
         tol = 4.0 * np.sqrt(r * (1.0 - r) / m) + 10.0 / m
         assert abs(emp - r) <= tol
 
-    @pytest.mark.parametrize("kind, bytes_per_point", [("discrete", 50), ("staircase", 63)])
-    def test_draw_frees_its_temporaries_before_grouping(self, kind, bytes_per_point):
-        # tracemalloc peaks of a 1e5-point draw: 4.8 MB (discrete, 9 atoms) and
-        # 6.0 MB (6-level staircase source), from 6.5 and 7.3 MB when the
-        # draw's uniforms and segment indices lived on through the grouping
+    @staticmethod
+    def _draw_peak(kind: str, n: int) -> int:
+        """tracemalloc peak, in bytes, of one ``n``-point draw."""
         if kind == "discrete":
             dist = DiscreteDistribution(range(9), [1.0 / 9] * 9, [0.75] * 9)
         else:
             dist = build_threshold_nn([1.0, 1.25, 1.5, 2.0, 3.0, 4.0]).source
-        n = 100_000
         tracemalloc.start()
         try:
             dist.sample(n, np.random.default_rng(0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= bytes_per_point * n
+        return peak
+
+    @pytest.mark.parametrize("kind, bytes_per_point", [("discrete", 50), ("staircase", 63)])
+    def test_draw_frees_its_temporaries_before_grouping(self, kind, bytes_per_point):
+        # tracemalloc peaks of a 1e5-point draw: 4.8 MB (discrete, 9 atoms) and
+        # 6.0 MB (6-level staircase source), from 6.5 and 7.3 MB when the
+        # draw's uniforms and segment indices lived on through the grouping
+        n = 100_000
+        assert self._draw_peak(kind, n) <= bytes_per_point * n
+
+    def test_staircase_draw_overwrites_its_uniforms_in_place(self):
+        # 4.0 MB for a 1e5-point draw of the 6-level staircase source: the
+        # sorted uniforms become the xs in place, so no argsort of them is held
+        n = 100_000
+        assert self._draw_peak("staircase", n) <= 44 * n
 
     def test_segment_proportions(self):
         dist = _two_segment_dist()

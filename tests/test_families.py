@@ -2,8 +2,10 @@
 
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from transel.classifiers import BoundaryHypothesis
 from transel.distributions import LabeledSample
@@ -28,6 +30,14 @@ GAP_EVENT_B_100_1 = 0.9061820890410457
 EXT_EVENT_B_32768_1 = 0.8806996938937729
 FIXED_CLASS_RHO_CONST = 2.5256583509747434
 FIXED_CLASS_BCC_CONST = 1.4142135623730945
+
+
+# Samples' xs for event B: each gap edge and its neighbouring floats, and
+# points anywhere, or in the middle interval, where target draws must land.
+_GAP_XS = st.lists(st.one_of(
+    st.sampled_from([float(np.nextafter(e, d)) for e in GAP_EDGES for d in (-1.0, 2.0)]
+                    + list(GAP_EDGES)),
+    st.floats(0.0, 1.2), st.floats(GAP_EDGES[2], GAP_EDGES[3])), max_size=8)
 
 
 def _population_minimizer(instance, level):
@@ -201,6 +211,22 @@ class TestGapFamily:
             assert not event_b_holds(sample(edge), middle)
         assert not event_b_holds(sample(0.5), sample(np.nextafter(left_in, 0.0)))
         assert not event_b_holds(sample(0.5), sample(np.nextafter(right_in, 1.0)))
+
+    @staticmethod
+    def _event_b_by_masks(s_p, s_q) -> bool:
+        """Event B read point by point with masks, in any order of xs."""
+        _, left_out, left_in, right_in, right_out, _ = GAP_EDGES
+        inner = ((left_out, left_in), (right_in, right_out))
+        in_inner = any(np.any((s_p.xs >= lo) & (s_p.xs <= hi)) for lo, hi in inner)
+        out_mid = np.any((s_q.xs < left_in) | (s_q.xs > right_in))
+        return not in_inner and not out_mid
+
+    @given(_GAP_XS, _GAP_XS)
+    @settings(max_examples=300, deadline=None)
+    def test_empirical_event_b_matches_masks(self, xs_p, xs_q):
+        s_p, s_q = (LabeledSample.of_points(np.array(xs, dtype=float), np.ones(len(xs)))
+                    for xs in (xs_p, xs_q))
+        assert event_b_holds(s_p, s_q) == self._event_b_by_masks(s_p, s_q)
 
     def test_regime_guard(self):
         with pytest.raises(ValueError):
