@@ -8,14 +8,14 @@ with a fixed two-uniforms-per-draw stream layout.  A piecewise segment carries
 one label, so its sampler reads only the first uniform of a draw; it still
 draws the second, which keeps every sampled byte: the stream changes only
 together with a version of it in the outputs.  The piecewise sampler draws
-its points already ascending, and a sample sorts its points only when they
-are not.
+its points already ascending, turning the sorted uniforms into xs in place,
+and a sample sorts its points only when they are not.  A sample is its
+distinct xs and its prefix counts of each label, made by one cumsum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -112,14 +112,29 @@ class Segment:
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF of the normalized segment at u in [0, 1]."""
-        u = np.asarray(u, dtype=float)
+        return self._quantile_into(np.array(u, dtype=float))
+
+    def _quantile_into(self, t: np.ndarray) -> np.ndarray:
+        """Overwrite the float array ``t`` of u in [0, 1] with its quantiles:
+        ``lo + u * (hi - lo)``, or ``v + sign(y) * (p * |y|) ** (1 / p)``
+        clipped to the segment for ``y = g(lo) + u * norm``.  The product with
+        ``sign(y)`` is a negation where y < 0, as ``sign(±0.0)`` is +0.0, and
+        ``**=`` keeps numpy's scalar fast path (sqrt at p = 2) that
+        ``np.power`` lacks."""
         if isinstance(self.shape, Uniform):
-            return self.lo + u * (self.hi - self.lo)
+            t *= self.hi - self.lo
+            t += self.lo
+            return t
         v, p = self.shape.anchor, self.shape.exponent
-        g_lo = float(_power_antideriv(np.asarray([self.lo]), v, p)[0])
-        y = g_lo + u * self._norm()
-        x = v + np.sign(y) * (p * np.abs(y)) ** (1.0 / p)
-        return np.clip(x, self.lo, self.hi)
+        t *= self._norm()
+        t += float(_power_antideriv(np.asarray([self.lo]), v, p)[0])
+        below = t < 0
+        np.abs(t, out=t)
+        t *= p
+        t **= 1.0 / p
+        np.negative(t, out=t, where=below)
+        t += v
+        return np.clip(t, self.lo, self.hi, out=t)
 
 
 def count_dtype(n: int):
@@ -129,25 +144,28 @@ def count_dtype(n: int):
 
 @dataclass(frozen=True, eq=False)
 class LabeledSample:
-    """Labeled sample as groups: its distinct ``xs``, ascending, and the
-    (+, −) counts ``pos``/``neg`` of the points at each.
+    """Labeled sample as its prefix counts: its distinct ``xs``, ascending,
+    and ``before_neg``/``before_pos``, of length ``len(xs) + 1``, whose entry
+    g counts the −1, then the +1, labels of the points in the groups before g.
 
     Every learner reads a sample only through mistake and disagreement
     counts, and a point's order among points with the same x changes neither,
     so the groups are all it keeps; ``len`` is still the number of points.  A
     hypothesis is read on the sample only through its ``runs(xs)``, whose
-    cuts are group indices, and both counts are made from those runs.
-    Samples compare and hash by identity.
+    cuts are group indices, and both counts are differences of the prefix
+    counts at those cuts.  Samples compare and hash by identity.
     """
 
     xs: np.ndarray
-    pos: np.ndarray
-    neg: np.ndarray
+    before_neg: np.ndarray
+    before_pos: np.ndarray
 
     @classmethod
     def of_points(cls, xs, ys) -> LabeledSample:
         """The groups of points ``xs`` with labels ``ys`` in {−1, +1}; the
-        points are sorted by x only when they are not already ascending."""
+        points are sorted by x only when they are not already ascending.
+        ``before_pos`` is one cumsum of the +1 labels read at the group
+        bounds, and ``before_neg`` the points before each bound less it."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys)
         if xs.shape != ys.shape or xs.ndim != 1:
@@ -163,28 +181,29 @@ class LabeledSample:
             order = np.argsort(xs)  # ties are counted, so their order does not matter
             xs, plus = xs[order], plus[order]
             del order  # 8 bytes a point: free it before the groups are built
-        first = np.empty(n, dtype=bool)
-        first[:1] = True
-        np.not_equal(xs[1:], xs[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        return cls(xs[starts], np.add.reduceat(plus, starts, dtype=dtype),
-                   np.add.reduceat(~plus, starts, dtype=dtype))
+        first = np.empty(n + 1, dtype=bool)
+        first[0] = first[n] = True
+        np.not_equal(xs[1:], xs[:-1], out=first[1:n])
+        bounds = np.flatnonzero(first)  # where each group starts, then n
+        del first
+        cum = np.zeros(n + 1, dtype=dtype)
+        np.cumsum(plus, dtype=dtype, out=cum[1:])
+        before_pos = cum[bounds]
+        del cum  # 4 bytes a point
+        return cls(xs[bounds[:-1]], np.subtract(bounds, before_pos, dtype=dtype), before_pos)
 
     def __len__(self) -> int:
-        return self._size
+        return self.before_neg.item(-1) + self.before_pos.item(-1)
 
-    @cached_property
-    def _size(self) -> int:
-        return int(self.pos.sum()) + int(self.neg.sum())
+    @property
+    def pos(self) -> np.ndarray:
+        """+1 labels at each x."""
+        return np.diff(self.before_pos)
 
-    @cached_property
-    def _before(self) -> tuple[np.ndarray, np.ndarray]:
-        """Entry g of each counts the −1, then the +1, labels in the groups
-        before g: the mistakes of a +1, then a −1, label on them."""
-        before = np.zeros((2, len(self.xs) + 1), dtype=count_dtype(len(self)))
-        np.cumsum(self.neg, out=before[0, 1:])
-        np.cumsum(self.pos, out=before[1, 1:])
-        return before[0], before[1]
+    @property
+    def neg(self) -> np.ndarray:
+        """−1 labels at each x."""
+        return np.diff(self.before_neg)
 
     def mistakes(self, runs) -> int:
         """Points mislabeled by the hypothesis whose ``runs(xs)`` is ``runs``.
@@ -193,7 +212,7 @@ class LabeledSample:
         prefix counts, so this costs O(k) for k cuts.
         """
         cuts, label = runs
-        neg, pos = self._before
+        neg, pos = self.before_neg, self.before_pos
         total, start = 0, 0
         for end in (*cuts, len(self.xs)):
             wrong = neg if label == 1 else pos
@@ -209,7 +228,7 @@ class LabeledSample:
         Costs O((k + k') log(k + k')) for k and k' cuts.
         """
         (cuts_a, label_a), (cuts_b, label_b) = runs_a, runs_b
-        neg, pos = self._before
+        neg, pos = self.before_neg, self.before_pos
         total, start, differ = 0, 0, label_a != label_b
         for end in (*sorted(cuts_a + cuts_b), len(self.xs)):
             if differ:
@@ -245,8 +264,8 @@ class PiecewiseDistribution:
         x at that segment's quantile of ``(u - _cum[i]) / mass``.  The
         uniforms are sorted first, so each segment's draws are one slice of
         them, cut by one ``searchsorted``, and the slice is overwritten in
-        place by its own quantiles: the points come out in ascending order
-        and ``of_points`` skips its sort.
+        place by its own quantiles (``Segment._quantile_into``): the points
+        come out in ascending order and ``of_points`` skips its sort.
 
         Each x comes from the same float operations on the same uniform as
         drawing the points in stream order, so the multiset of (x, y) pairs,
@@ -261,8 +280,10 @@ class PiecewiseDistribution:
             a, b = cuts[i], cuts[i + 1]
             if a == b:
                 continue
-            u[a:b] = seg.quantile(
-                np.clip((u[a:b] - self._cum[i]) / max(seg.mass, _EDGE_TOL), 0.0, 1.0))
+            t = u[a:b]
+            t -= self._cum[i]
+            t /= max(seg.mass, _EDGE_TOL)
+            seg._quantile_into(np.clip(t, 0.0, 1.0, out=t))
             ys[a:b] = seg.label
         return LabeledSample.of_points(u, ys)
 

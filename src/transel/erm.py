@@ -1,6 +1,6 @@
 """Exact empirical risk minimization over nested 1-D classifier hierarchies.
 
-A sample is its groups: its distinct xs and the (+, −) counts at each
+A sample is its distinct xs and its prefix counts of each label
 (:class:`LabeledSample`).  Boundary classes are optimized with a suffix-table
 dynamic program over the sample's label runs, maximal stretches of groups
 that carry one label (a group with both labels is a run of its own):
@@ -131,19 +131,19 @@ class _DpWorkspace:
     def of_runs(cls, sample: LabeledSample, max_flips: int) -> "_DpWorkspace":
         """Tables over the label runs of the sample, in one O(groups) pass:
         consecutive groups of one label merge, and a group that holds both
-        labels is a run of its own."""
-        pos, neg = sample.pos, sample.neg
+        labels is a run of its own.  A run's counts are differences of the
+        sample's prefix counts at its ends."""
+        neg, pos = sample.before_neg, sample.before_pos
         # +1 or −1 for a group of one label, 0 for a mixed one
-        kind = (pos > 0).astype(np.int8) - (neg > 0)
+        kind = (pos[1:] > pos[:-1]).astype(np.int8) - (neg[1:] > neg[:-1])
         first = np.empty(len(kind), dtype=bool)
         first[:1] = True
         np.not_equal(kind[1:], kind[:-1], out=first[1:])
         first |= kind == 0
         starts = np.flatnonzero(first)
         ends = np.append(starts[1:], len(kind)) if len(kind) else starts
-        return cls(sample.xs[starts], sample.xs[ends - 1],
-                   np.add.reduceat(pos, starts, dtype=pos.dtype),
-                   np.add.reduceat(neg, starts, dtype=neg.dtype), max_flips)
+        return cls(sample.xs[starts], sample.xs[ends - 1], pos[ends] - pos[starts],
+                   neg[ends] - neg[starts], max_flips)
 
     def _mid(self, q: int) -> float:
         return float(midpoint(self.right[q - 1], self.left[q]))

@@ -1,10 +1,11 @@
-"""The points of a grouped sample, a point-by-point piecewise sampler, and DP
-tables over points: the oracles that group counts, the sorted piecewise
-sampler and label-run tables are checked against."""
+"""The points of a grouped sample, a per-group grouping, an out-of-place
+quantile, a point-by-point piecewise sampler, and DP tables over points: the
+oracles that prefix counts, in-place quantiles, the sorted piecewise sampler
+and label-run tables are checked against."""
 
 import numpy as np
 
-from transel.distributions import _EDGE_TOL, LabeledSample
+from transel.distributions import _EDGE_TOL, LabeledSample, Uniform, _power_antideriv, count_dtype
 from transel.erm import _DpWorkspace
 
 
@@ -17,10 +18,46 @@ def points(sample) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
+def group_points(xs, ys) -> LabeledSample:
+    """``LabeledSample.of_points`` by per-group counts: one ``reduceat`` per
+    label over the group starts, then one cumsum of each into the prefix
+    counts."""
+    xs = np.asarray(xs, dtype=float)
+    plus = np.asarray(ys) == 1
+    n = xs.size
+    dtype = count_dtype(n)
+    if not (xs[1:] >= xs[:-1]).all():
+        order = np.argsort(xs)
+        xs, plus = xs[order], plus[order]
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.not_equal(xs[1:], xs[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    pos = np.add.reduceat(plus, starts, dtype=dtype)
+    neg = np.add.reduceat(~plus, starts, dtype=dtype)
+    before = np.zeros((2, len(starts) + 1), dtype=dtype)
+    np.cumsum(neg, out=before[0, 1:])
+    np.cumsum(pos, out=before[1, 1:])
+    return LabeledSample(xs[starts], before[0], before[1])
+
+
+def quantile(seg, u: np.ndarray) -> np.ndarray:
+    """``Segment.quantile`` out of place: a new array for each step."""
+    u = np.asarray(u, dtype=float)
+    if isinstance(seg.shape, Uniform):
+        return seg.lo + u * (seg.hi - seg.lo)
+    v, p = seg.shape.anchor, seg.shape.exponent
+    g_lo = float(_power_antideriv(np.asarray([seg.lo]), v, p)[0])
+    y = g_lo + u * seg._norm()
+    x = v + np.sign(y) * (p * np.abs(y)) ** (1.0 / p)
+    return np.clip(x, seg.lo, seg.hi)
+
+
 def sample_points(dist, n: int, rng: np.random.Generator) -> LabeledSample:
     """``PiecewiseDistribution.sample`` point by point, in stream order: each
     draw's segment by ``searchsorted`` on the cumulative masses, then one
-    boolean mask per segment, grouped by ``of_points`` with its sort."""
+    boolean mask per segment, the out-of-place ``quantile``, and
+    ``group_points`` with its sort."""
     u = rng.random((n, 2))
     idx = np.searchsorted(dist._cum, u[:, 0], side="right") - 1
     idx = np.clip(idx, 0, len(dist.segments) - 1)
@@ -30,10 +67,10 @@ def sample_points(dist, n: int, rng: np.random.Generator) -> LabeledSample:
         pick = idx == i
         if not np.any(pick):
             continue
-        xs[pick] = seg.quantile(
-            np.clip((u[pick, 0] - dist._cum[i]) / max(seg.mass, _EDGE_TOL), 0.0, 1.0))
+        xs[pick] = quantile(
+            seg, np.clip((u[pick, 0] - dist._cum[i]) / max(seg.mass, _EDGE_TOL), 0.0, 1.0))
         ys[pick] = seg.label
-    return LabeledSample.of_points(xs, ys)
+    return group_points(xs, ys)
 
 
 def point_workspace(sample, max_flips: int) -> _DpWorkspace:

@@ -7,7 +7,7 @@ from itertools import combinations, product
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from transel.classifiers import BoundaryHypothesis, TabularHypothesis
 from transel.distributions import (
@@ -19,9 +19,10 @@ from transel.distributions import (
     Uniform,
     _GRID_BLOCK,
 )
+from transel.erm import BoundaryClassHierarchy, _DpWorkspace
 from transel.families import build_threshold_nn
 
-from point_oracle import points, sample_points
+from point_oracle import group_points, point_workspace, points, quantile, sample_points
 from risk_oracle import disagreement_mass, expected_risk, same_bits
 
 
@@ -93,10 +94,14 @@ def _with_zero_masses(dist: PiecewiseDistribution, zero) -> PiecewiseDistributio
     return PiecewiseDistribution(segs)
 
 
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def _same_groups(a: LabeledSample, b: LabeledSample) -> bool:
-    """Byte-equal xs, pos and neg, with equal dtypes."""
-    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
-               for x, y in ((a.xs, b.xs), (a.pos, b.pos), (a.neg, b.neg)))
+    """Byte-equal xs and prefix counts, with equal dtypes."""
+    return all(_same_bytes(x, y) for x, y in ((a.xs, b.xs), (a.before_neg, b.before_neg),
+                                              (a.before_pos, b.before_pos)))
 
 
 def _two_segment_dist() -> PiecewiseDistribution:
@@ -143,6 +148,36 @@ class TestSegment:
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValueError):
             PowerLaw(anchor=0.0, exponent=0.0)
+
+    @staticmethod
+    def _segments():
+        """Uniform segments and power-law ones with the anchor at ``lo``, at
+        ``hi`` and inside, on segments from 0.0 and −0.0 and on one across 0.0."""
+        for lo, hi in ((0.0, 1.0), (-0.0, 0.5), (-1.5, 0.25)):
+            yield Segment(lo, hi, 1.0)
+            for p in (0.5, 1.0, 1.25, 2.0, 4.0):
+                for anchor in (lo, hi, 0.6 * lo + 0.4 * hi):
+                    yield Segment(lo, hi, 1.0, PowerLaw(anchor, p))
+
+    def test_in_place_quantile_matches_the_out_of_place_oracle(self):
+        u = np.concatenate([[0.0, 5e-324, 0.5, np.nextafter(1.0, 0.0), 1.0],
+                            np.random.default_rng(0).random(2000)])
+        for seg in self._segments():
+            want = quantile(seg, u)
+            t = u.copy()
+            assert seg._quantile_into(t) is t and _same_bytes(t, want), seg
+            assert _same_bytes(seg.quantile(u), want), seg
+            # the sampler's slices of sorted uniforms go through the same steps
+            dist = PiecewiseDistribution([seg])
+            got = dist.sample(3000, np.random.default_rng(1))
+            assert _same_groups(got, sample_points(dist, 3000, np.random.default_rng(1))), seg
+
+    def test_quantile_leaves_its_argument_untouched(self):
+        u = np.random.default_rng(2).random(100)
+        kept = u.copy()
+        for seg in self._segments():
+            seg.quantile(u)
+            assert _same_bytes(u, kept), seg
 
 
 class TestLabeledSample:
@@ -196,15 +231,41 @@ class TestLabeledSample:
                 for ps in (pairs, shuffled))
         assert _same_groups(a, b)
 
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from((-0.0, 0.0, 0.25, 0.5, -1.5)),
+                                        st.floats(-3.0, 3.0)),
+                              st.sampled_from((-1, 1))), max_size=40),
+           st.booleans())
+    @example([], False)
+    @example([(0.5, -1)], False)
+    @example([(0.0, 1), (-0.0, -1)], True)
+    @example([(-0.0, 1), (0.0, -1), (0.25, 1)], False)
+    @example([(0.5, 1), (0.25, -1), (0.5, -1), (0.0, 1), (-0.0, 1)], False)
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_counts_match_the_reduceat_oracle(self, pairs, ascending):
+        if ascending:
+            pairs = sorted(pairs, key=lambda p: p[0])
+        xs = np.asarray([x for x, _ in pairs], dtype=float)
+        ys = np.asarray([y for _, y in pairs], dtype=np.int8)
+        got, want = LabeledSample.of_points(xs, ys), group_points(xs, ys)
+        assert _same_groups(got, want)
+        assert type(len(got)) is int and len(got) == len(pairs)
+        # the label-run tables read the same ERMs as tables over every group
+        hierarchy = BoundaryClassHierarchy(max_level=3)
+        runs, groups = _DpWorkspace.of_runs(got, 3), point_workspace(want, 3)
+        for level in range(4):
+            budgets = hierarchy.flip_budgets(level)
+            assert runs.canonical_erm(budgets) == groups.canonical_erm(budgets)
+
     def test_compares_and_hashes_by_identity(self):
         a = LabeledSample.of_points([0.1, 0.2, 0.2], [1, -1, 1])
         b = LabeledSample.of_points([0.1, 0.2, 0.2], [1, -1, 1])
         assert a == a and a != b and not a == b
         assert hash(a) == hash(a) and len({a, b, a}) == 2
-        # the cached prefix counts still fill in on a frozen sample
+        # the prefix counts are fields, built with the sample: nothing is
+        # cached on a frozen sample later
         assert len(a) == 3 and a.mistakes(((), 1)) == 1
         assert a.disagreements(((1,), 1), ((), 1)) == 2
-        assert {"_size", "_before"} <= set(vars(a))
+        assert set(vars(a)) == {"xs", "before_neg", "before_pos"}
 
     @given(st.integers(1, 6), st.integers(0, 500), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -568,17 +629,18 @@ class TestSampling:
 
     @pytest.mark.parametrize("kind, bytes_per_point", [("discrete", 50), ("staircase", 63)])
     def test_draw_frees_its_temporaries_before_grouping(self, kind, bytes_per_point):
-        # tracemalloc peaks of a 1e5-point draw: 4.8 MB (discrete, 9 atoms) and
-        # 6.0 MB (6-level staircase source), from 6.5 and 7.3 MB when the
+        # tracemalloc peaks of a 1e5-point draw: 4.1 MB (discrete, 9 atoms) and
+        # 3.4 MB (6-level staircase source), from 6.5 and 7.3 MB when the
         # draw's uniforms and segment indices lived on through the grouping
         n = 100_000
         assert self._draw_peak(kind, n) <= bytes_per_point * n
 
     def test_staircase_draw_overwrites_its_uniforms_in_place(self):
-        # 4.0 MB for a 1e5-point draw of the 6-level staircase source: the
-        # sorted uniforms become the xs in place, so no argsort of them is held
+        # 3.4 MB for a 1e5-point draw of the 6-level staircase source: the
+        # sorted uniforms become the xs in place, quantile steps included, so
+        # no argsort and no float temporary is held; one cumsum makes the counts
         n = 100_000
-        assert self._draw_peak("staircase", n) <= 44 * n
+        assert self._draw_peak("staircase", n) <= 38 * n
 
     def test_segment_proportions(self):
         dist = _two_segment_dist()
