@@ -2,9 +2,15 @@
 
 Everything here works off the exact integration in :mod:`transel.distributions`,
 so minimizers, excess risks, and constant estimates are deterministic and
-reproducible: no sampling is involved.  Hypothesis grids are the only source
-of approximation, and their construction is spelled out in
-:func:`default_ratio_grid`.
+reproducible: no sampling is involved.  Three things still approximate:
+
+- a transfer or noise-condition (BCC) constant is a supremum over a finite
+  hypothesis grid (see :func:`default_ratio_grid`), so it is only a *lower*
+  bound on the true constant;
+- ties with a minimizer are decided with the tolerance ``RISK_ATOL``, not
+  exactly;
+- an exponent counts as bounded when its grid constant is at most a
+  threshold, ``DEFAULT_STABLE_CAP``.
 """
 
 from __future__ import annotations

@@ -2,13 +2,15 @@
 
 Subcommands map one-to-one onto experiment kinds; a JSON config file mirrors
 ExperimentConfig field for field, and a few flags override it in place;
---seed overrides the config's base_seed.
+--seed overrides the config's base_seed.  --out alone names the output
+directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -48,6 +50,8 @@ def _load_config(args) -> ExperimentConfig:
                 data = json.load(fh)
         except OSError as exc:
             raise ValueError(f"cannot read config {args.config}: {exc.strerror}")
+        except ValueError as exc:
+            raise ValueError(f"config {args.config} is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise ValueError(f"config {args.config} is not a JSON object")
         data["kind"] = kind
@@ -61,9 +65,15 @@ def _load_config(args) -> ExperimentConfig:
         cfg = replace(cfg, base_seed=args.seed)
     if args.replicates is not None:
         cfg = replace(cfg, replicates=args.replicates)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
     return cfg
+
+
+def _make_out_dir(path: str) -> None:
+    """Make the output directory before any compute, so a bad path fails at once."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot make output directory {path}: {exc.strerror}")
 
 
 def _report(cfg: ExperimentConfig, summary: dict) -> int:
@@ -104,7 +114,10 @@ def _report(cfg: ExperimentConfig, summary: dict) -> int:
     cells = summary.get("cells", {})
     print(f"run: {len(cells)} aggregate cells")
     for key, cell in sorted(cells.items()):
-        print(f"  {key}: mean={cell['mean_excess']:.6g} (n={cell['count']})")
+        print(
+            f"  {key}: mean={cell['mean_excess']:.6g} "
+            f"p90={cell['p90_excess']:.6g} (n={cell['count']})"
+        )
     return 0
 
 
@@ -112,12 +125,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
+        if args.out is not None:
+            _make_out_dir(args.out)
         records, summary = run_experiment(cfg)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     paths = {}
-    if cfg.out_dir:
-        paths = write_outputs(cfg.out_dir, records, summary)
+    if args.out is not None:
+        paths = write_outputs(args.out, records, summary)
     code = _report(cfg, summary)
     for path in paths.values():
         print(f"wrote {path}")

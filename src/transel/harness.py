@@ -92,8 +92,9 @@ class ExperimentConfig:
     ``params`` holds the family's params as JSON-native values, so the config
     round-trips losslessly; ``build_family`` checks each against the family's
     table in ``families.FAMILIES``.  The one other key is calibrate's
-    ``coef_grid``, which every other kind rejects.  ``out_dir`` is where
-    the CLI writes the outputs; ``run_experiment`` itself writes nothing.
+    ``coef_grid``, which every other kind rejects.  Where the outputs go is
+    not part of the config: ``run_experiment`` writes nothing, and the CLI's
+    ``--out`` names the directory that ``write_outputs`` fills.
     """
 
     kind: str
@@ -105,7 +106,6 @@ class ExperimentConfig:
     base_seed: int = 0
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     learners: tuple[str, ...] = ("algorithm1", "oracle", "target_only")
-    out_dir: str | None = None
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -127,8 +127,6 @@ class ExperimentConfig:
             raise ValueError("learners must not repeat")
         if not isinstance(self.family, str):
             raise ValueError("family must be a string")
-        if self.out_dir is not None and not isinstance(self.out_dir, str):
-            raise ValueError("out_dir must be a string or null")
 
     def to_dict(self) -> dict:
         return {
@@ -141,7 +139,6 @@ class ExperimentConfig:
             "base_seed": self.base_seed,
             "selection": self.selection.to_dict(),
             "learners": list(self.learners),
-            "out_dir": self.out_dir,
         }
 
     @classmethod
@@ -168,7 +165,6 @@ class ExperimentConfig:
             base_seed=d.get("base_seed", 0),
             selection=SelectionConfig.from_dict(d.get("selection", {})),
             learners=tuple(d.get("learners", LEARNERS)),
-            out_dir=d.get("out_dir"),
         )
 
 
@@ -802,7 +798,8 @@ def summary_json_text(summary: dict) -> str:
 
 
 def write_outputs(out_dir: str, records, summary: dict) -> dict:
-    """Write an experiment's outputs into ``out_dir``; the only code that does.
+    """Write an experiment's outputs into ``out_dir`` (the CLI's ``--out``);
+    the only code that does.
 
     Records go to ``records.csv`` unless they are None; the summary always
     goes to ``summary.json``.  Returns the path of each file written, records

@@ -14,13 +14,15 @@ from transel.harness import RECORD_COLUMNS, SCHEMA_VERSION
 
 
 def _write_cfg(tmp_path, name, payload):
+    """Write ``payload`` as JSON, or as it is when it is already text."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
 _STAIRCASE = {"family": "threshold_nn", "params": {"rhos": [1.0]}}
 _GAP = {"family": "gap", "n_source_grid": [32], "n_target_grid": [1]}
+_GAP_FULL = {**_GAP, "params": {"rho_a": 2.0, "rho_b": 1.0}}
 _FIXED_CLASS = {"beta_p": 0.5, "beta_q": 0.5, "rho": 2.0, "alpha": 0.1}
 
 
@@ -77,6 +79,8 @@ class TestParsing:
                 "error: unknown selection keys: Cc",
             ),
             ([{"family": "threshold_nn"}], "error: config .* is not a JSON object"),
+            ('{"family": "threshold_nn",\n}',
+             r"error: config .*bad\.json is not valid JSON: Expecting property name"),
             ({**_STAIRCASE, "n_source_grid": "100"}, "error: n_source_grid must be a list"),
             ({**_STAIRCASE, "replicates": "5"}, "error: replicates must be an integer"),
             ({**_STAIRCASE, "replicates": True}, "error: replicates must be an integer"),
@@ -106,7 +110,6 @@ class TestParsing:
             ({**_STAIRCASE, "learners": [["oracle"]]}, r"error: unknown learners \[\['oracle'\]\]"),
             ({**_STAIRCASE, "learners": []}, "error: learners must be nonempty"),
             ({**_STAIRCASE, "learners": ["oracle", "oracle"]}, "error: learners must not repeat"),
-            ({**_STAIRCASE, "out_dir": 5}, "error: out_dir must be a string or null"),
             ({**_STAIRCASE, "family": ["gap"]}, "error: family must be a string"),
             ({**_STAIRCASE, "family": {"a": 1}}, "error: family must be a string"),
             ({**_STAIRCASE, "selection": {"C": math.nan}}, "error: C and c must be finite"),
@@ -122,13 +125,14 @@ class TestParsing:
              r"error: oracle level 2 of cell \(sigma -, n_source 1000000, n_target 1\) "
              "is above selection.L_max 0"),
         ],
-        ids=["missing_family", "unknown_selection_key", "not_an_object", "grid_string",
-             "replicates_string", "replicates_bool", "C_string", "budget_float", "selection_list",
+        ids=["missing_family", "unknown_selection_key", "not_an_object", "invalid_json",
+             "grid_string", "replicates_string", "replicates_bool", "C_string", "budget_float",
+             "selection_list",
              "params_list", "fractional_size", "rhos_string", "learners_mixed", "alpha_string",
              "d_string", "d_fractional", "rho_b_bool", "enforce_regime_string", "unknown_param",
              "coef_grid_outside_calibrate", "base_seed_string", "base_seed_float",
              "base_seed_null", "base_seed_bool", "learners_nested", "learners_empty",
-             "learners_repeated", "out_dir_number", "family_list", "family_object", "C_nan",
+             "learners_repeated", "family_list", "family_object", "C_nan",
              "c_infinity", "rho_infinity", "rhos_infinity", "alpha_past_float_range",
              "rhos_underflow", "oracle_above_L_max"],
     )
@@ -153,6 +157,19 @@ class TestParsing:
             main(["calibrate", "--config", path])
         assert "\n" not in str(exc.value.code)
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_bad_out_is_one_line_error_before_any_compute(self, tmp_path, monkeypatch, out):
+        (tmp_path / "afile").write_text("")
+        calls = []
+        monkeypatch.setattr("transel.cli.run_experiment", lambda cfg: calls.append(cfg))
+        path = tmp_path / out
+        with pytest.raises(SystemExit, match=re.escape(
+                f"error: cannot make output directory {path}: ")) as exc:
+            main(["gap-demo", "--config", _write_cfg(tmp_path, "gap.json", _GAP_FULL),
+                  "--out", str(path)])
+        assert "\n" not in str(exc.value.code)
+        assert calls == []
+
     def test_missing_config_file_is_one_line_error(self, tmp_path):
         path = tmp_path / "absent.json"
         with pytest.raises(SystemExit, match=re.escape(f"error: cannot read config {path}")) as exc:
@@ -172,6 +189,7 @@ class TestRunCommand:
         assert summary["schema"] == SCHEMA_VERSION
         assert summary["kind"] == "rate_curve"
         stdout = capsys.readouterr().out
+        assert re.search(r"algorithm1\|-\|40\|20: mean=\S+ p90=\S+ \(n=2\)", stdout)
         assert f"wrote {out / 'records.csv'}" in stdout
         assert f"wrote {out / 'summary.json'}" in stdout
 
